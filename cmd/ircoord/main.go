@@ -68,7 +68,7 @@ func main() {
 		reqTimeout    = flag.Duration("request-timeout", 60*time.Second, "cap on one shard HTTP request")
 		planCache     = flag.Int64("plan-cache", 0, "compiled-plan cache budget in bytes (0 = 256 MiB default, negative disables)")
 		maxN          = flag.Int("max-n", 4<<20, "max iterations per request")
-		procs         = flag.Int("procs", 0, "local-fallback solver goroutines (0 = GOMAXPROCS)")
+		procs         = flag.Int("procs", 0, "per-solve goroutine budget that client procs are clamped to (0 = GOMAXPROCS)")
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables)")
 		showVersion   = flag.Bool("version", false, "print build version and exit")
 	)

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -95,8 +96,9 @@ type Config struct {
 	// MaxExponentBits caps CAP trace-exponent growth for general solves
 	// (default 16384, as irserved); requests may lower it but not raise it.
 	MaxExponentBits int
-	// Procs bounds local-fallback solver parallelism (default GOMAXPROCS
-	// via the solvers' own defaulting).
+	// Procs is the per-solve goroutine budget (default GOMAXPROCS): client
+	// procs are clamped to it for coordinator compiles, local-fallback
+	// solves and the shard requests forwarded to workers.
 	Procs int
 	// Logger receives worker lifecycle events; nil means log.Default().
 	Logger *log.Logger
@@ -145,6 +147,9 @@ func (c *Config) setDefaults() {
 	if c.MaxExponentBits <= 0 {
 		c.MaxExponentBits = 16384
 	}
+	if c.Procs <= 0 {
+		c.Procs = runtime.GOMAXPROCS(0)
+	}
 	if c.Logger == nil {
 		c.Logger = log.Default()
 	}
@@ -186,6 +191,7 @@ func (w *worker) isUp() bool {
 // with New, serve its Handler, stop with Close.
 type Coordinator struct {
 	cfg     Config
+	limits  server.Limits
 	reg     *server.Registry
 	metrics *clusterMetrics
 	plans   *server.PlanCache
@@ -214,6 +220,7 @@ func New(cfg Config) *Coordinator {
 	cfg.setDefaults()
 	co := &Coordinator{
 		cfg:       cfg,
+		limits:    server.Limits{MaxN: cfg.MaxN, Procs: cfg.Procs, MaxExponentBits: cfg.MaxExponentBits},
 		reg:       server.NewRegistry(),
 		members:   make(map[string]*worker),
 		sessions:  make(map[string]*streamEntry),

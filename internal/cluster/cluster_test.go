@@ -111,29 +111,29 @@ func newFleet(t testing.TB, n int, mut func(*Config)) (*Coordinator, []*testWork
 }
 
 // specFor builds the solve spec a coordinator endpoint would produce.
-func specFor(fam ir.Family, sys *ir.System, m int, g, f []int, data ir.PlanData) *solveSpec {
+func specFor(fam ir.Family, sys *ir.System, m int, g, f []int, data ir.PlanData) *server.Request {
 	if fam == ir.FamilyMoebius {
-		return &solveSpec{family: fam, m: m, g: g, f: f, data: data}
+		return &server.Request{Family: fam, M: m, G: g, F: f, Data: data}
 	}
-	return &solveSpec{family: fam, sys: sys, data: data}
+	return &server.Request{Family: fam, System: sys, Data: data}
 }
 
 // localSolution computes the reference answer with the plan layer directly.
-func localSolution(t testing.TB, spec *solveSpec) *ir.PlanSolution {
+func localSolution(t testing.TB, spec *server.Request) *ir.PlanSolution {
 	t.Helper()
 	var p *ir.Plan
 	var err error
-	if spec.family == ir.FamilyMoebius {
-		p, err = ir.CompileMoebius(spec.m, spec.g, spec.f)
+	if spec.Family == ir.FamilyMoebius {
+		p, err = ir.CompileMoebius(spec.M, spec.G, spec.F)
 	} else {
-		p, err = ir.CompileCtx(context.Background(), spec.sys, ir.CompileOptions{
-			Family: spec.family, MaxExponentBits: spec.bits,
+		p, err = ir.CompileCtx(context.Background(), spec.System, ir.CompileOptions{
+			Family: spec.Family, MaxExponentBits: spec.Bits,
 		})
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := p.SolveCtx(context.Background(), spec.data)
+	sol, err := p.SolveCtx(context.Background(), spec.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func assertSameSolution(t testing.TB, got, want *ir.PlanSolution) {
 }
 
 // randSpec draws a random solve across all three families from rng.
-func randSpec(rng *rand.Rand) *solveSpec {
+func randSpec(rng *rand.Rand) *server.Request {
 	m := 1 + rng.Intn(32)
 	n := rng.Intn(m + 1)
 	switch rng.Intn(3) {
@@ -200,7 +200,7 @@ func randSpec(rng *rand.Rand) *solveSpec {
 		}
 		spec := specFor(ir.FamilyGeneral, &ir.System{M: m, N: n, G: g, F: f, H: h}, 0, nil, nil,
 			ir.PlanData{Op: "mul-mod", Mod: 1_000_003, InitInt: init})
-		spec.bits = 4096
+		spec.Bits = 4096
 		return spec
 	default: // moebius with denominators kept off zero
 		perm := rng.Perm(m)
@@ -251,17 +251,17 @@ func FuzzClusterAgainstLocal(f *testing.F) {
 				}
 			}()
 			var p *ir.Plan
-			if spec.family == ir.FamilyMoebius {
-				p, err = ir.CompileMoebius(spec.m, spec.g, spec.f)
+			if spec.Family == ir.FamilyMoebius {
+				p, err = ir.CompileMoebius(spec.M, spec.G, spec.F)
 			} else {
-				p, err = ir.CompileCtx(context.Background(), spec.sys, ir.CompileOptions{
-					Family: spec.family, MaxExponentBits: spec.bits,
+				p, err = ir.CompileCtx(context.Background(), spec.System, ir.CompileOptions{
+					Family: spec.Family, MaxExponentBits: spec.Bits,
 				})
 			}
 			if err != nil {
 				return nil, err
 			}
-			sol, err = p.SolveCtx(context.Background(), spec.data)
+			sol, err = p.SolveCtx(context.Background(), spec.Data)
 			return sol, err
 		}()
 		if wantErr != nil {
@@ -297,17 +297,17 @@ func TestClusterSolveAllFamilies(t *testing.T) {
 				defer func() { recover() }()
 				var p *ir.Plan
 				var err error
-				if spec.family == ir.FamilyMoebius {
-					p, err = ir.CompileMoebius(spec.m, spec.g, spec.f)
+				if spec.Family == ir.FamilyMoebius {
+					p, err = ir.CompileMoebius(spec.M, spec.G, spec.F)
 				} else {
-					p, err = ir.CompileCtx(context.Background(), spec.sys, ir.CompileOptions{
-						Family: spec.family, MaxExponentBits: spec.bits,
+					p, err = ir.CompileCtx(context.Background(), spec.System, ir.CompileOptions{
+						Family: spec.Family, MaxExponentBits: spec.Bits,
 					})
 				}
 				if err != nil {
 					return false
 				}
-				want, err = p.SolveCtx(context.Background(), spec.data)
+				want, err = p.SolveCtx(context.Background(), spec.Data)
 				return err == nil
 			}()
 			if !ok {
@@ -354,7 +354,7 @@ func TestChaosKillWorkerMidScatter(t *testing.T) {
 		// Many-chain ordinary systems; shard placement is rendezvous-hashed
 		// per fingerprint, so vary the shape until a shard lands on the
 		// armed worker. Every answer along the way must still be exact.
-		var spec *solveSpec
+		var spec *server.Request
 		var want *ir.PlanSolution
 		for attempt := 0; attempt < 8 && !killed.Load(); attempt++ {
 			m := 64 + 2*attempt

@@ -24,8 +24,8 @@ import (
 
 // solveGrid2D runs a distributed grid solve with local fallback, the
 // grid-family twin of Solve's scatter-or-fallback arm.
-func (co *Coordinator) solveGrid2D(ctx context.Context, p *ir.Plan, spec *solveSpec) (*ir.PlanSolution, error) {
-	sol, err := co.scatterGrid2D(ctx, p, spec)
+func (co *Coordinator) solveGrid2D(ctx context.Context, p *ir.Plan, req *server.Request) (*ir.PlanSolution, error) {
+	sol, err := co.scatterGrid2D(ctx, p, req)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -34,7 +34,7 @@ func (co *Coordinator) solveGrid2D(ctx context.Context, p *ir.Plan, spec *solveS
 		if !errors.Is(err, ErrNoWorkers) {
 			co.cfg.Logger.Printf("ircluster: grid scatter failed (%v); solving locally", err)
 		}
-		return p.SolveCtx(ctx, spec.data)
+		return p.SolveCtx(ctx, req.Data)
 	}
 	return sol, nil
 }
@@ -62,15 +62,15 @@ func bandGrid(sys *ir.Grid2DSystem, r0, r1 int, north []float64, nw float64) *ir
 // ranking (by plan fingerprint and band index), circuit breakers, a shared
 // per-solve retry budget, and hedged duplicates — one band at a time, each
 // seeded with the halo row the previous band produced.
-func (co *Coordinator) scatterGrid2D(ctx context.Context, p *ir.Plan, spec *solveSpec) (*ir.PlanSolution, error) {
+func (co *Coordinator) scatterGrid2D(ctx context.Context, p *ir.Plan, req *server.Request) (*ir.PlanSolution, error) {
 	ws := co.alive()
 	if len(ws) == 0 {
 		return nil, ErrNoWorkers
 	}
-	sys := spec.grid
+	sys := req.Grid
 	rows, cols := sys.Rows, sys.Cols
 	nb := min(len(ws), rows)
-	base, err := shardRequest(spec, ctx)
+	base, err := shardRequest(req, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -81,11 +81,11 @@ func (co *Coordinator) scatterGrid2D(ctx context.Context, p *ir.Plan, spec *solv
 	north, nw := sys.North, sys.NorthWest
 	for b := 0; b < nb; b++ {
 		r0, r1 := rows*b/nb, rows*(b+1)/nb
-		req := base
-		req.Shard = server.ShardWire{Lo: r0, Hi: r1}
-		req.Grid = bandGrid(sys, r0, r1, north, nw)
+		band := base
+		band.Shard = server.ShardWire{Lo: r0, Hi: r1}
+		band.Grid = bandGrid(sys, r0, r1, north, nw)
 		prefs := rankWorkers(ws, p.Fingerprint(), b)
-		resp, err := co.solveShard(ctx, req, prefs, &budget)
+		resp, err := co.solveShard(ctx, band, prefs, &budget)
 		if err != nil {
 			return nil, fmt.Errorf("band %d [%d, %d): %w", b, r0, r1, err)
 		}

@@ -18,8 +18,8 @@ import (
 )
 
 // gridSpec wraps a grid system as the solve spec specGrid2D would build.
-func gridSpec(sys *ir.Grid2DSystem) *solveSpec {
-	return &solveSpec{family: ir.FamilyGrid2D, grid: sys, data: ir.PlanData{Grid: sys}}
+func gridSpec(sys *ir.Grid2DSystem) *server.Request {
+	return &server.Request{Family: ir.FamilyGrid2D, Grid: sys, Data: ir.PlanData{Grid: sys}}
 }
 
 // randGrid draws a full-mask grid over the given semiring; tropical rings

@@ -15,83 +15,27 @@ import (
 	"indexedrec/ir"
 )
 
-// solveSpec is one distributed solve, family-dispatched: sys for the
-// ordinary/general families, (m, g, f) for Möbius, data for the values.
-type solveSpec struct {
-	family ir.Family
-	sys    *ir.System // ordinary / general
-	// sparse, when set, marks an ordinary/general solve in the compressed
-	// encoding: the plan is compiled from the compact system (sys then
-	// aliases sparse.Compact) and shard payloads ship the sparse wire form,
-	// so scatter traffic is O(n) however large the global array.
-	sparse *ir.SparseSystem
-	m      int              // moebius
-	g, f   []int            // moebius
-	grid   *ir.Grid2DSystem // grid2d
-	bits   int              // general: effective MaxExponentBits (compile-time)
-	data   ir.PlanData
-	// timeoutMs is the client's requested deadline (the wire option is not
-	// part of ir.SolveOptions; the coordinator applies it to the solve ctx).
-	timeoutMs int
-}
-
-// planFor compiles or cache-loads the spec's plan on the coordinator. The
-// coordinator needs the plan itself — not just its fingerprint — because
-// Partition and MergeShards read the compiled structure.
-func (co *Coordinator) planFor(ctx context.Context, spec *solveSpec) (*ir.Plan, error) {
-	if spec.family == ir.FamilyMoebius {
-		fp := ir.PlanFingerprint(ir.FamilyMoebius, len(spec.g), spec.m, spec.g, spec.f, nil, 0)
-		return server.PlanFor(co.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-			return ir.CompileMoebiusCtx(ctx, spec.m, spec.g, spec.f)
-		})
-	}
-	if spec.family == ir.FamilyGrid2D {
-		fp, err := ir.Grid2DFingerprint(spec.grid)
-		if err != nil {
-			return nil, err
-		}
-		return server.PlanFor(co.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-			return ir.CompileGrid2DCtx(ctx, spec.grid)
-		})
-	}
-	if spec.sparse != nil {
-		// One fingerprint for the whole solve: every shard of a sparse
-		// scatter shares it, so rendezvous plan affinity warms workers with
-		// one compact plan exactly as for dense scatters.
-		fp := ir.SparseFingerprint(spec.family, spec.sparse, spec.bits)
-		return server.PlanFor(co.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-			return ir.CompileSparseCtx(ctx, spec.sparse, ir.CompileOptions{
-				Family: spec.family, Procs: spec.data.Opts.Procs, MaxExponentBits: spec.bits,
-			})
-		})
-	}
-	fp := ir.PlanFingerprint(spec.family, spec.sys.N, spec.sys.M, spec.sys.G, spec.sys.F, spec.sys.H, spec.bits)
-	return server.PlanFor(co.plans, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
-		return ir.CompileCtx(ctx, spec.sys, ir.CompileOptions{
-			Family: spec.family, Procs: spec.data.Opts.Procs, MaxExponentBits: spec.bits,
-		})
-	})
-}
-
 // Solve runs one distributed solve: plan, partition, scatter, gather,
-// merge. Any scatter-level failure — including an empty fleet — degrades to
-// a local in-process solve, so the coordinator answers whenever a single
-// machine could. Results are bit-identical to ir.Plan.SolveCtx by the shard
-// layer's contract.
-func (co *Coordinator) Solve(ctx context.Context, spec *solveSpec) (*ir.PlanSolution, error) {
-	p, err := co.planFor(ctx, spec)
+// merge. The coordinator resolves the plan itself (Request.Plan, through
+// its own cache) — not just its fingerprint — because Partition and
+// MergeShards read the compiled structure. Any scatter-level failure —
+// including an empty fleet — degrades to a local in-process solve, so the
+// coordinator answers whenever a single machine could. Results are
+// bit-identical to ir.Plan.SolveCtx by the shard layer's contract.
+func (co *Coordinator) Solve(ctx context.Context, req *server.Request) (*ir.PlanSolution, error) {
+	p, err := req.Plan(ctx, co.plans)
 	if err != nil {
 		return nil, err
 	}
-	if spec.family == ir.FamilyGrid2D {
-		return co.solveGrid2D(ctx, p, spec)
+	if req.Family == ir.FamilyGrid2D {
+		return co.solveGrid2D(ctx, p, req)
 	}
-	if spec.data.WithPowers {
+	if req.Data.WithPowers {
 		// Power traces are a whole-plan artifact; the shard path does not
 		// carry them.
-		return p.SolveCtx(ctx, spec.data)
+		return p.SolveCtx(ctx, req.Data)
 	}
-	parts, err := co.scatter(ctx, p, spec)
+	parts, err := co.scatter(ctx, p, req)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -100,14 +44,14 @@ func (co *Coordinator) Solve(ctx context.Context, spec *solveSpec) (*ir.PlanSolu
 		if !errors.Is(err, ErrNoWorkers) {
 			co.cfg.Logger.Printf("ircluster: scatter failed (%v); solving locally", err)
 		}
-		return p.SolveCtx(ctx, spec.data)
+		return p.SolveCtx(ctx, req.Data)
 	}
-	return p.MergeShards(spec.data, parts)
+	return p.MergeShards(req.Data, parts)
 }
 
 // scatter partitions the plan over the live fleet and executes every shard
 // remotely, gathering the slices in shard order.
-func (co *Coordinator) scatter(ctx context.Context, p *ir.Plan, spec *solveSpec) ([]*ir.ShardSolution, error) {
+func (co *Coordinator) scatter(ctx context.Context, p *ir.Plan, req *server.Request) ([]*ir.ShardSolution, error) {
 	ws := co.alive()
 	if len(ws) == 0 {
 		return nil, ErrNoWorkers
@@ -118,7 +62,7 @@ func (co *Coordinator) scatter(ctx context.Context, p *ir.Plan, spec *solveSpec)
 		// init-copy answer, no network needed.
 		return nil, nil
 	}
-	base, err := shardRequest(spec, ctx)
+	base, err := shardRequest(req, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -137,10 +81,10 @@ func (co *Coordinator) scatter(ctx context.Context, p *ir.Plan, spec *solveSpec)
 		wg.Add(1)
 		go func(i int, sh ir.Shard) {
 			defer wg.Done()
-			req := base
-			req.Shard = server.ShardWire{Lo: sh.Lo, Hi: sh.Hi}
+			sreq := base
+			sreq.Shard = server.ShardWire{Lo: sh.Lo, Hi: sh.Hi}
 			prefs := rankWorkers(ws, p.Fingerprint(), i)
-			resp, err := co.solveShard(sctx, req, prefs, &budget)
+			resp, err := co.solveShard(sctx, sreq, prefs, &budget)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d [%d, %d): %w", i, sh.Lo, sh.Hi, err)
 				cancel() // no point finishing the rest; we fall back locally
@@ -361,14 +305,15 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // shardRequest builds the scatter's base request (everything but the Shard
-// field) from a spec. Per-shard deadlines inherit the solve ctx's deadline,
-// forwarded as timeout_ms so workers bound their own admission.
-func shardRequest(spec *solveSpec, ctx context.Context) (server.ShardRequest, error) {
+// field) from a decoded request. Per-shard deadlines inherit the solve
+// ctx's deadline, forwarded as timeout_ms so workers bound their own
+// admission.
+func shardRequest(r *server.Request, ctx context.Context) (server.ShardRequest, error) {
 	req := server.ShardRequest{
-		Family: spec.family.String(),
+		Family: r.Family.String(),
 		Opts: ir.OptionsWire{
-			Procs:           spec.data.Opts.Procs,
-			MaxExponentBits: spec.bits,
+			Procs:           r.Data.Opts.Procs,
+			MaxExponentBits: r.Bits,
 		},
 	}
 	if dl, ok := ctx.Deadline(); ok {
@@ -378,25 +323,24 @@ func shardRequest(spec *solveSpec, ctx context.Context) (server.ShardRequest, er
 		}
 		req.Opts.TimeoutMs = int(remaining)
 	}
-	if spec.family == ir.FamilyMoebius {
-		req.System = ir.SystemWire{M: spec.m, N: len(spec.g), G: spec.g, F: spec.f}
-		req.A, req.B, req.C, req.D = spec.data.A, spec.data.B, spec.data.C, spec.data.D
-		req.X0 = spec.data.X0
+	switch {
+	case r.Family == ir.FamilyMoebius:
+		req.System = ir.SystemWire{M: r.M, N: len(r.G), G: r.G, F: r.F}
+		req.A, req.B, req.C, req.D = r.Data.A, r.Data.B, r.Data.C, r.Data.D
+		req.X0 = r.Data.X0
 		return req, nil
-	}
-	if spec.family == ir.FamilyGrid2D {
+	case r.Family == ir.FamilyGrid2D:
 		// Bands attach their own Grid (with halo boundaries) per send.
 		return req, nil
+	case r.Sparse != nil:
+		req.System = ir.WireFromSparse(r.Sparse)
+	default:
+		req.System = ir.WireFromSystem(r.System)
 	}
-	if spec.sparse != nil {
-		req.System = ir.WireFromSparse(spec.sparse)
-	} else {
-		req.System = ir.WireFromSystem(spec.sys)
-	}
-	req.Op, req.Mod = spec.data.Op, spec.data.Mod
-	var init any = spec.data.InitFloat
-	if spec.data.InitInt != nil {
-		init = spec.data.InitInt
+	req.Op, req.Mod = r.Data.Op, r.Data.Mod
+	var init any = r.Data.InitFloat
+	if r.Data.InitInt != nil {
+		init = r.Data.InitInt
 	}
 	raw, err := json.Marshal(init)
 	if err != nil {

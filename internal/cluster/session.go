@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"indexedrec/internal/server"
@@ -97,38 +96,38 @@ func newSessionID() (string, error) {
 func (co *Coordinator) writeSessionErr(w http.ResponseWriter, endpoint string, err error) {
 	var apiErr *client.APIError
 	if errors.As(err, &apiErr) {
-		co.writeError(w, endpoint, apiErr.Status, apiErr.Message)
+		server.WriteError(w, co.metrics.requests, endpoint, apiErr.Status, apiErr.Message)
 		return
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
-		co.writeError(w, endpoint, http.StatusGatewayTimeout, err.Error())
+		server.WriteError(w, co.metrics.requests, endpoint, http.StatusGatewayTimeout, err.Error())
 		return
 	}
-	co.writeError(w, endpoint, http.StatusBadGateway, err.Error())
+	server.WriteError(w, co.metrics.requests, endpoint, http.StatusBadGateway, err.Error())
 }
 
 func (co *Coordinator) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "session_open"
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	body, err := server.ReadBody(w, r, maxBodyBytes)
 	if err != nil {
-		co.writeError(w, endpoint, http.StatusBadRequest, err.Error())
+		server.WriteError(w, co.metrics.requests, endpoint, http.StatusBadRequest, err.Error())
 		return
 	}
 	var req server.SessionOpenRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		co.writeError(w, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		server.WriteError(w, co.metrics.requests, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	fp, err := co.sessionPinKey(&req)
 	if err != nil {
-		co.writeError(w, endpoint, http.StatusBadRequest, err.Error())
+		server.WriteError(w, co.metrics.requests, endpoint, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := co.requestContext(r, req.Opts.TimeoutMs)
+	ctx, cancel := server.RequestContext(r, req.Opts.TimeoutMs, solveTimeout, maxSolveTimeout)
 	defer cancel()
 	ranked := rankWorkers(co.alive(), fp, 0)
 	if len(ranked) == 0 {
-		co.writeError(w, endpoint, http.StatusServiceUnavailable, ErrNoWorkers.Error())
+		server.WriteError(w, co.metrics.requests, endpoint, http.StatusServiceUnavailable, ErrNoWorkers.Error())
 		return
 	}
 	var lastErr error
@@ -142,7 +141,7 @@ func (co *Coordinator) handleSessionOpen(w http.ResponseWriter, r *http.Request)
 			settle(outcomeSuccess)
 			id, err := newSessionID()
 			if err != nil {
-				co.writeError(w, endpoint, http.StatusInternalServerError, err.Error())
+				server.WriteError(w, co.metrics.requests, endpoint, http.StatusInternalServerError, err.Error())
 				return
 			}
 			e := &streamEntry{
@@ -155,7 +154,7 @@ func (co *Coordinator) handleSessionOpen(w http.ResponseWriter, r *http.Request)
 			co.metrics.sessions.Set(int64(len(co.sessions)))
 			co.smu.Unlock()
 			resp.ID = id
-			co.writeJSON(w, endpoint, http.StatusOK, resp)
+			server.WriteJSON(w, co.metrics.requests, endpoint, http.StatusOK, resp)
 			return
 		}
 		if !retryable(err) {
@@ -233,20 +232,20 @@ func (co *Coordinator) handleSessionAppend(w http.ResponseWriter, r *http.Reques
 	const endpoint = "session_append"
 	e := co.entry(r.PathValue("id"))
 	if e == nil {
-		co.writeError(w, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", r.PathValue("id")))
+		server.WriteError(w, co.metrics.requests, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", r.PathValue("id")))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	body, err := server.ReadBody(w, r, maxBodyBytes)
 	if err != nil {
-		co.writeError(w, endpoint, http.StatusBadRequest, err.Error())
+		server.WriteError(w, co.metrics.requests, endpoint, http.StatusBadRequest, err.Error())
 		return
 	}
 	var req server.SessionAppendRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		co.writeError(w, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		server.WriteError(w, co.metrics.requests, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	ctx, cancel := co.requestContext(r, req.Opts.TimeoutMs)
+	ctx, cancel := server.RequestContext(r, req.Opts.TimeoutMs, solveTimeout, maxSolveTimeout)
 	defer cancel()
 	e.lock()
 	defer e.unlock()
@@ -259,7 +258,7 @@ func (co *Coordinator) handleSessionAppend(w http.ResponseWriter, r *http.Reques
 		resp, err := e.w.client.Append(ctx, e.remoteID, req)
 		if err == nil {
 			e.log = append(e.log, req)
-			co.writeJSON(w, endpoint, http.StatusOK, resp)
+			server.WriteJSON(w, co.metrics.requests, endpoint, http.StatusOK, resp)
 			return
 		}
 		if !retryable(err) && !remoteGone(err) {
@@ -285,7 +284,7 @@ func (co *Coordinator) handleSessionAppend(w http.ResponseWriter, r *http.Reques
 		return
 	}
 	e.log = append(e.log, req)
-	co.writeJSON(w, endpoint, http.StatusOK, resp)
+	server.WriteJSON(w, co.metrics.requests, endpoint, http.StatusOK, resp)
 }
 
 func (co *Coordinator) handleSessionGet(w http.ResponseWriter, r *http.Request) {
@@ -293,10 +292,10 @@ func (co *Coordinator) handleSessionGet(w http.ResponseWriter, r *http.Request) 
 	id := r.PathValue("id")
 	e := co.entry(id)
 	if e == nil {
-		co.writeError(w, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
+		server.WriteError(w, co.metrics.requests, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
 		return
 	}
-	ctx, cancel := co.requestContext(r, 0)
+	ctx, cancel := server.RequestContext(r, 0, solveTimeout, maxSolveTimeout)
 	defer cancel()
 	e.lock()
 	defer e.unlock()
@@ -324,7 +323,7 @@ func (co *Coordinator) handleSessionGet(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	resp.ID = id
-	co.writeJSON(w, endpoint, http.StatusOK, resp)
+	server.WriteJSON(w, co.metrics.requests, endpoint, http.StatusOK, resp)
 }
 
 func (co *Coordinator) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
@@ -338,12 +337,12 @@ func (co *Coordinator) handleSessionDelete(w http.ResponseWriter, r *http.Reques
 	}
 	co.smu.Unlock()
 	if e == nil {
-		co.writeError(w, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
+		server.WriteError(w, co.metrics.requests, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
 		return
 	}
 	// Best-effort remote close: the worker's own idle TTL collects the
 	// session anyway if this misses.
-	ctx, cancel := co.requestContext(r, 0)
+	ctx, cancel := server.RequestContext(r, 0, solveTimeout, maxSolveTimeout)
 	defer cancel()
 	e.lock()
 	_ = e.w.client.CloseSession(ctx, e.remoteID)

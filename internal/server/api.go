@@ -254,23 +254,6 @@ type ErrorResponse struct {
 	Code int `json:"code"`
 }
 
-// intOp and floatOp resolve the endpoints' operator specs through the
-// registry that now lives next to the API it serves (ir.IntOpByName /
-// ir.FloatOpByName); every registered operator satisfies CommutativeMonoid,
-// so one table serves both endpoints (SolveOrdinary only needs the
-// Semigroup subset).
-func intOp(name string, mod int64) (ir.CommutativeMonoid[int64], error) {
-	return ir.IntOpByName(name, mod)
-}
-
-func floatOp(name string) (ir.CommutativeMonoid[float64], error) {
-	return ir.FloatOpByName(name)
-}
-
-// OpNames lists every operator spec the solve endpoints accept, for error
-// messages and docs.
-func OpNames() []string { return ir.OpNames() }
-
 // DecodeInitInt parses the raw init array as int64s, rejecting non-integral
 // values rather than truncating.
 func DecodeInitInt(raw json.RawMessage) ([]int64, error) {

@@ -9,21 +9,28 @@
 //
 // # Request path
 //
-// Every solve request is validated before admission (client mistakes cost no
-// worker time), then queued; a full queue sheds with 429 + Retry-After.
-// Workers execute solves under the request's context, so deadlines and
-// client disconnects abandon work promptly. Möbius-family requests pass
-// through the coalescer, which holds the first request of a batch up to
-// BatchWindow waiting for companions and dispatches the whole batch as one
-// sweep. Solves resolve their structure through the plan cache (see
-// plancache.go): requests sharing an index-map fingerprint reuse one
-// compiled plan and pay only the data phase; DESIGN.md §9 has the diagram.
+// Every solve request is decoded and validated before admission (client
+// mistakes cost no worker time), then queued; a full queue sheds with 429 +
+// Retry-After. Each wire body type has one decoder on Limits, producing a
+// Request; every family and encoding then runs the same pipeline (see
+// request.go): Request.Plan resolves the compiled plan through the plan
+// cache (see plancache.go), the plan replays the request's data, and
+// Request.Response shapes the reply. The shard endpoint (shard.go) and the
+// internal/cluster coordinator run the same pipeline, ending in a shard
+// replay or a scatter respectively. Workers execute solves under the
+// request's context, so deadlines and client disconnects abandon work
+// promptly. Möbius-family requests pass through the coalescer, which holds
+// the first request of a batch up to BatchWindow waiting for companions and
+// dispatches the whole batch as one sweep. Requests sharing an index-map
+// fingerprint reuse one compiled plan and pay only the data phase;
+// DESIGN.md §9 has the diagram.
 //
 // # Invariants
 //
-// Responses are bit-identical whether a solve ran direct, through a cached
-// plan, batched, or fell back to a per-item solve — caching and coalescing
-// are performance layers, never semantic ones. Every admitted request gets
+// Responses are bit-identical whether a plan came from the cache or was
+// compiled afresh (the cache disabled), whether a solve ran batched or fell
+// back to a per-item solve, and whichever role served it — caching,
+// coalescing and distribution are performance layers, never semantic ones. Every admitted request gets
 // exactly one response; Shutdown drains in-flight work before the pool
 // exits.
 //

@@ -165,8 +165,8 @@ func TestPlanCacheWarmSolves(t *testing.T) {
 }
 
 // TestPlanCacheDisabled sets PlanCacheBytes negative and asserts the server
-// runs the direct solve paths: correct answers, no cache, no counter
-// movement.
+// compiles every request's plan afresh through the same pipeline: correct
+// answers, no cache, no counter movement.
 func TestPlanCacheDisabled(t *testing.T) {
 	leak := checkGoroutines(t)
 	func() {

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,8 +54,8 @@ type Config struct {
 	// (default 16384); requests may lower it but not raise it.
 	MaxExponentBits int
 	// PlanCacheBytes bounds the compiled-plan LRU cache (default 64 MiB).
-	// Negative disables plan caching: every request then runs the direct
-	// solve paths, recomputing structure each time.
+	// Negative disables plan caching: every request then compiles its plan
+	// afresh through the same pipeline, recomputing structure each time.
 	PlanCacheBytes int64
 	// Tenants configures per-tenant admission (WFQ weight, shed priority,
 	// queue quota) keyed by the X-IR-Tenant header value. Tenants absent
@@ -215,6 +214,7 @@ func (m *serverMetrics) planCacheMetrics() PlanCacheMetrics {
 // ListenAndServe), stop with Shutdown.
 type Server struct {
 	cfg     Config
+	limits  Limits
 	reg     *Registry
 	metrics *serverMetrics
 	pool    *pool
@@ -244,7 +244,8 @@ type Server struct {
 // New builds a Server and starts its worker pool and coalescer.
 func New(cfg Config) *Server {
 	cfg.setDefaults()
-	s := &Server{cfg: cfg, reg: NewRegistry()}
+	s := &Server{cfg: cfg, reg: NewRegistry(),
+		limits: Limits{MaxN: cfg.MaxN, Procs: cfg.Procs, MaxExponentBits: cfg.MaxExponentBits}}
 	s.lifetime, s.cancel = context.WithCancel(context.Background())
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.Procs, cfg.Tenants,
 		func(tenant string) { s.metrics.tenantShed.Inc(s.shedLabel(tenant)) })
@@ -293,25 +294,25 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("POST "+APIPrefix+"ordinary", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSolve(w, r, "ordinary", s.execOrdinary)
+		s.handleSolve(w, r, "ordinary", s.solve(s.limits.DecodeOrdinary))
 	})
 	s.mux.HandleFunc("POST "+APIPrefix+"general", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSolve(w, r, "general", s.execGeneral)
+		s.handleSolve(w, r, "general", s.solve(s.limits.DecodeGeneral))
 	})
 	s.mux.HandleFunc("POST "+APIPrefix+"linear", func(w http.ResponseWriter, r *http.Request) {
-		s.handleCoalesced(w, r, "linear")
+		s.handleCoalesced(w, r, "linear", s.limits.DecodeLinear)
 	})
 	s.mux.HandleFunc("POST "+APIPrefix+"moebius", func(w http.ResponseWriter, r *http.Request) {
-		s.handleCoalesced(w, r, "moebius")
+		s.handleCoalesced(w, r, "moebius", s.limits.DecodeMoebius)
 	})
 	s.mux.HandleFunc("POST "+APIPrefix+"grid2d", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSolve(w, r, "grid2d", s.execGrid2D)
+		s.handleSolve(w, r, "grid2d", s.solve(s.limits.DecodeGrid2D))
 	})
 	s.mux.HandleFunc("POST "+APIPrefix+"loop", func(w http.ResponseWriter, r *http.Request) {
 		s.handleSolve(w, r, "loop", s.execLoop)
 	})
 	s.mux.HandleFunc("POST "+ShardPrefix+"solve", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSolve(w, r, "shard", s.execShard)
+		s.handleSolve(w, r, "shard", s.solveShard)
 	})
 	s.mux.HandleFunc("GET /version", s.handleVersion)
 	s.sessionRoutes()
@@ -408,12 +409,42 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Inc("metrics", "200")
 }
 
-// execFunc validates a decoded request and returns the closure that a pool
-// worker will run; validation errors surface before admission as 4xx.
-type execFunc func(body []byte) (func(ctx context.Context) (any, error), error)
+// execFunc decodes and validates a request body and returns the closure a
+// pool worker will run plus the client's timeout_ms; validation errors
+// surface before admission as 4xx.
+type execFunc func(body []byte) (run func(ctx context.Context) (any, error), timeoutMs int, err error)
+
+// solve is the irserved end of the shared pipeline (see request.go):
+// decode → Plan → SolveCtx → Response.
+func (s *Server) solve(decode func([]byte) (*Request, error)) execFunc {
+	return func(body []byte) (func(ctx context.Context) (any, error), int, error) {
+		req, err := decode(body)
+		if err != nil {
+			return nil, 0, err
+		}
+		return func(ctx context.Context) (any, error) {
+			start := time.Now()
+			if req.Sparse != nil {
+				s.metrics.sparseSolves.Inc("sparse")
+			} else if req.expanded != nil {
+				s.metrics.sparseSolves.Inc("dense-fallback")
+			}
+			p, err := req.Plan(ctx, s.plans)
+			if err != nil {
+				return nil, err
+			}
+			sol, err := p.SolveCtx(ctx, req.Data)
+			if err != nil {
+				return nil, err
+			}
+			return req.Response(sol, time.Since(start))
+		}, req.TimeoutMs, nil
+	}
+}
 
 // handleSolve is the common path for directly-executed endpoints
-// (ordinary, general, loop): decode+validate, admit, run on the pool, wait.
+// (ordinary, general, grid2d, loop, shard): decode+validate, admit, run on
+// the pool, wait.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint string, exec execFunc) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -422,20 +453,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint st
 	start := time.Now()
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.writeError(w, endpoint, http.StatusServiceUnavailable, "draining")
+		WriteError(w, s.metrics.requests, endpoint, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	body, werr := s.readBody(w, r)
+	body, werr := ReadBody(w, r, s.cfg.MaxRequestBytes)
 	if werr != nil {
-		s.writeError(w, endpoint, http.StatusBadRequest, werr.Error())
+		WriteError(w, s.metrics.requests, endpoint, http.StatusBadRequest, werr.Error())
 		return
 	}
-	run, err := exec(body)
+	run, timeoutMs, err := exec(body)
 	if err != nil {
-		s.writeError(w, endpoint, statusForValidation(err), err.Error())
+		WriteError(w, s.metrics.requests, endpoint, StatusForValidation(err), err.Error())
 		return
 	}
-	ctx, cancel := s.requestContext(r, timeoutOf(body))
+	ctx, cancel := RequestContext(r, timeoutMs, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	defer cancel()
 
 	type outcome struct {
@@ -470,21 +501,21 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint st
 			return
 		}
 		if out.err != nil {
-			s.writeError(w, endpoint, statusForSolve(out.err), out.err.Error())
+			WriteError(w, s.metrics.requests, endpoint, StatusForSolve(out.err), out.err.Error())
 			return
 		}
-		s.writeJSON(w, endpoint, http.StatusOK, out.v)
+		WriteJSON(w, s.metrics.requests, endpoint, http.StatusOK, out.v)
 	case <-ctx.Done():
 		// Deadline or client disconnect while queued/solving; the worker
 		// will observe ctx and abandon the solve.
 		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
-		s.writeError(w, endpoint, statusForSolve(ctx.Err()), ctx.Err().Error())
+		WriteError(w, s.metrics.requests, endpoint, StatusForSolve(ctx.Err()), ctx.Err().Error())
 	}
 }
 
 // handleCoalesced is the path for linear/moebius requests: full validation
 // up front, then admission into the coalescer rather than the plain queue.
-func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, endpoint string) {
+func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, endpoint string, decode func([]byte) (*Request, error)) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	s.metrics.inflight.Inc()
@@ -492,20 +523,20 @@ func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, endpoin
 	start := time.Now()
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.writeError(w, endpoint, http.StatusServiceUnavailable, "draining")
+		WriteError(w, s.metrics.requests, endpoint, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	body, werr := s.readBody(w, r)
+	body, werr := ReadBody(w, r, s.cfg.MaxRequestBytes)
 	if werr != nil {
-		s.writeError(w, endpoint, http.StatusBadRequest, werr.Error())
+		WriteError(w, s.metrics.requests, endpoint, http.StatusBadRequest, werr.Error())
 		return
 	}
-	ms, x0, opts, err := s.decodeMoebius(endpoint, body)
+	req, err := decode(body)
 	if err != nil {
-		s.writeError(w, endpoint, statusForValidation(err), err.Error())
+		WriteError(w, s.metrics.requests, endpoint, StatusForValidation(err), err.Error())
 		return
 	}
-	ctx, cancel := s.requestContext(r, opts.TimeoutMs)
+	ctx, cancel := RequestContext(r, req.TimeoutMs, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	defer cancel()
 	// Charge the tenant's quota while the request sits in the coalescer:
 	// batch jobs run under the internal tenant, so without the reservation
@@ -516,9 +547,9 @@ func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, endpoin
 		return
 	}
 	defer s.pool.release(tenant)
-	it := &batchItem{ms: ms, x0: x0, ctx: ctx, res: make(chan batchResult, 1)}
+	it := &batchItem{ms: req.moebiusSystem(), x0: req.Data.X0, ctx: ctx, res: make(chan batchResult, 1)}
 	if s.plans != nil {
-		it.fp = ir.PlanFingerprint(ir.FamilyMoebius, len(ms.G), ms.M, ms.G, ms.F, nil, 0)
+		it.fp = ir.PlanFingerprint(ir.FamilyMoebius, len(req.G), req.M, req.G, req.F, nil, 0)
 	}
 	select {
 	case s.co.in <- it:
@@ -531,379 +562,34 @@ func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, endpoin
 	case br := <-it.res:
 		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
 		if br.err != nil {
-			s.writeError(w, endpoint, statusForSolve(br.err), br.err.Error())
+			WriteError(w, s.metrics.requests, endpoint, StatusForSolve(br.err), br.err.Error())
 			return
 		}
-		s.writeJSON(w, endpoint, http.StatusOK, MoebiusResponse{
+		WriteJSON(w, s.metrics.requests, endpoint, http.StatusOK, MoebiusResponse{
 			Values:    br.values,
 			BatchSize: br.size,
 			ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
 		})
 	case <-ctx.Done():
 		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
-		s.writeError(w, endpoint, statusForSolve(ctx.Err()), ctx.Err().Error())
+		WriteError(w, s.metrics.requests, endpoint, StatusForSolve(ctx.Err()), ctx.Err().Error())
 	}
 }
 
-// decodeMoebius turns a linear or moebius request body into a validated
-// MoebiusSystem ready for batching.
-func (s *Server) decodeMoebius(endpoint string, body []byte) (*moebius.MoebiusSystem, []float64, ir.OptionsWire, error) {
-	var ms *moebius.MoebiusSystem
-	var x0 []float64
-	var opts ir.OptionsWire
-	switch endpoint {
-	case "linear":
-		var req LinearRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, nil, opts, fmt.Errorf("bad request body: %v", err)
-		}
-		if req.Extended {
-			if len(req.X0) != req.M {
-				return nil, nil, opts, fmt.Errorf("extended form: len(x0) = %d, want m = %d", len(req.X0), req.M)
-			}
-			ms = moebius.NewExtended(req.M, req.G, req.F, req.A, req.B, req.X0)
-		} else {
-			ms = moebius.NewLinear(req.M, req.G, req.F, req.A, req.B)
-		}
-		x0, opts = req.X0, req.Opts
-	case "moebius":
-		var req MoebiusRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, nil, opts, fmt.Errorf("bad request body: %v", err)
-		}
-		ms = &moebius.MoebiusSystem{M: req.M, G: req.G, F: req.F, A: req.A, B: req.B, C: req.C, D: req.D}
-		x0, opts = req.X0, req.Opts
-	default:
-		panic("unreachable endpoint " + endpoint)
-	}
-	if len(ms.G) > s.cfg.MaxN {
-		return nil, nil, opts, fmt.Errorf("n = %d exceeds the server limit %d", len(ms.G), s.cfg.MaxN)
-	}
-	if err := ms.Validate(); err != nil {
-		return nil, nil, opts, err
-	}
-	if err := ms.CheckFinite(); err != nil {
-		return nil, nil, opts, err
-	}
-	if len(x0) != ms.M {
-		return nil, nil, opts, fmt.Errorf("len(x0) = %d, want m = %d", len(x0), ms.M)
-	}
-	for i, v := range x0 {
-		if v != v || v > maxFinite || v < -maxFinite {
-			return nil, nil, opts, fmt.Errorf("x0[%d] = %v is not finite", i, v)
-		}
-	}
-	return ms, x0, opts, nil
-}
-
-const maxFinite = 1.7976931348623157e308
-
-// ------------------------------------------------------------ direct execs
-
-func (s *Server) execOrdinary(body []byte) (func(ctx context.Context) (any, error), error) {
-	var req OrdinaryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
-	}
-	if req.System.IsSparse() {
-		return s.execSparseOrdinary(&req)
-	}
-	sys, opt, err := s.systemAndOptions(req.System, req.Opts)
-	if err != nil {
-		return nil, err
-	}
-	if !sys.Ordinary() {
-		return nil, fmt.Errorf("%w: /v1/solve/ordinary requires H = G (use /v1/solve/general)", ir.ErrInvalidSystem)
-	}
-	iop, err := intOp(req.Op, req.Mod)
-	if err != nil {
-		return nil, err
-	}
-	if iop != nil {
-		init, err := DecodeInitInt(req.Init)
-		if err != nil {
-			return nil, err
-		}
-		if len(init) != sys.M {
-			return nil, fmt.Errorf("len(init) = %d, want m = %d", len(init), sys.M)
-		}
-		return func(ctx context.Context) (any, error) {
-			start := time.Now()
-			res, err := solveOrdinary(ctx, s, sys, iop, init, opt)
-			if err != nil {
-				return nil, err
-			}
-			return OrdinaryResponse{ValuesInt: res.Values, Rounds: res.Rounds,
-				Combines: res.Combines, ElapsedMs: ms(start)}, nil
-		}, nil
-	}
-	fop, err := floatOp(req.Op)
-	if err != nil {
-		return nil, err
-	}
-	if fop == nil {
-		return nil, fmt.Errorf("unknown op %q (one of %s)", req.Op, strings.Join(OpNames(), ", "))
-	}
-	init, err := DecodeInitFloat(req.Init)
-	if err != nil {
-		return nil, err
-	}
-	if len(init) != sys.M {
-		return nil, fmt.Errorf("len(init) = %d, want m = %d", len(init), sys.M)
-	}
-	return func(ctx context.Context) (any, error) {
-		start := time.Now()
-		res, err := solveOrdinary(ctx, s, sys, fop, init, opt)
-		if err != nil {
-			return nil, err
-		}
-		return OrdinaryResponse{ValuesFloat: res.Values, Rounds: res.Rounds,
-			Combines: res.Combines, ElapsedMs: ms(start)}, nil
-	}, nil
-}
-
-// execSparseOrdinary handles the sparse encoding of /v1/solve/ordinary: the
-// wire system carries the touched-cell list and compact index maps, and the
-// init array is in compact order (length len(cells)). The response echoes
-// the touched cells alongside the compact-order values. Malformed sparse
-// encodings answer 422 (see statusForValidation).
-func (s *Server) execSparseOrdinary(req *OrdinaryRequest) (func(ctx context.Context) (any, error), error) {
-	sp, opt, err := s.sparseAndOptions(req.System, req.Opts)
-	if err != nil {
-		return nil, err
-	}
-	if !sp.Compact.Ordinary() {
-		return nil, fmt.Errorf("%w: /v1/solve/ordinary requires H = G (use /v1/solve/general)", ir.ErrInvalidSparse)
-	}
-	iop, err := intOp(req.Op, req.Mod)
-	if err != nil {
-		return nil, err
-	}
-	if iop != nil {
-		init, err := DecodeInitInt(req.Init)
-		if err != nil {
-			return nil, err
-		}
-		if len(init) != sp.NumCells() {
-			return nil, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d", ir.ErrInvalidSparse, len(init), sp.NumCells())
-		}
-		return func(ctx context.Context) (any, error) {
-			start := time.Now()
-			res, err := solveSparseOrdinary(ctx, s, sp, iop, init, opt)
-			if err != nil {
-				return nil, err
-			}
-			return OrdinaryResponse{ValuesInt: res.Values, Cells: sp.Cells, Rounds: res.Rounds,
-				Combines: res.Combines, ElapsedMs: ms(start)}, nil
-		}, nil
-	}
-	fop, err := floatOp(req.Op)
-	if err != nil {
-		return nil, err
-	}
-	if fop == nil {
-		return nil, fmt.Errorf("unknown op %q (one of %s)", req.Op, strings.Join(OpNames(), ", "))
-	}
-	init, err := DecodeInitFloat(req.Init)
-	if err != nil {
-		return nil, err
-	}
-	if len(init) != sp.NumCells() {
-		return nil, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d", ir.ErrInvalidSparse, len(init), sp.NumCells())
-	}
-	return func(ctx context.Context) (any, error) {
-		start := time.Now()
-		res, err := solveSparseOrdinary(ctx, s, sp, fop, init, opt)
-		if err != nil {
-			return nil, err
-		}
-		return OrdinaryResponse{ValuesFloat: res.Values, Cells: sp.Cells, Rounds: res.Rounds,
-			Combines: res.Combines, ElapsedMs: ms(start)}, nil
-	}, nil
-}
-
-// execSparseGeneral is execSparseOrdinary's general-family twin (reached
-// from execGeneral when the wire system is sparse-encoded). Power traces
-// name global cells.
-func (s *Server) execSparseGeneral(req *GeneralRequest, opt ir.SolveOptions) (func(ctx context.Context) (any, error), error) {
-	sp, _, err := s.sparseAndOptions(req.System, req.Opts)
-	if err != nil {
-		return nil, err
-	}
-	iop, err := intOp(req.Op, req.Mod)
-	if err != nil {
-		return nil, err
-	}
-	if iop != nil {
-		init, err := DecodeInitInt(req.Init)
-		if err != nil {
-			return nil, err
-		}
-		if len(init) != sp.NumCells() {
-			return nil, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d", ir.ErrInvalidSparse, len(init), sp.NumCells())
-		}
-		return func(ctx context.Context) (any, error) {
-			start := time.Now()
-			res, err := solveSparseGeneral(ctx, s, sp, iop, init, opt)
-			if err != nil {
-				return nil, err
-			}
-			out := GeneralResponse{ValuesInt: res.Values, Cells: sp.Cells, CAPRounds: res.CAPRounds, ElapsedMs: ms(start)}
-			if req.WithPowers {
-				out.Powers = res.Powers
-			}
-			return out, nil
-		}, nil
-	}
-	fop, err := floatOp(req.Op)
-	if err != nil {
-		return nil, err
-	}
-	if fop == nil {
-		return nil, fmt.Errorf("unknown op %q (one of %s)", req.Op, strings.Join(OpNames(), ", "))
-	}
-	init, err := DecodeInitFloat(req.Init)
-	if err != nil {
-		return nil, err
-	}
-	if len(init) != sp.NumCells() {
-		return nil, fmt.Errorf("%w: len(init) = %d, want touched-cell count %d", ir.ErrInvalidSparse, len(init), sp.NumCells())
-	}
-	return func(ctx context.Context) (any, error) {
-		start := time.Now()
-		res, err := solveSparseGeneral(ctx, s, sp, fop, init, opt)
-		if err != nil {
-			return nil, err
-		}
-		out := GeneralResponse{ValuesFloat: res.Values, Cells: sp.Cells, CAPRounds: res.CAPRounds, ElapsedMs: ms(start)}
-		if req.WithPowers {
-			out.Powers = res.Powers
-		}
-		return out, nil
-	}, nil
-}
-
-func (s *Server) execGeneral(body []byte) (func(ctx context.Context) (any, error), error) {
-	var req GeneralRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
-	}
-	if req.System.IsSparse() {
-		opt, err := req.Opts.Options()
-		if err != nil {
-			return nil, err
-		}
-		opt.Procs = s.clampProcs(opt.Procs)
-		opt.MaxExponentBits = s.cfg.MaxExponentBits
-		if b := req.Opts.MaxExponentBits; b > 0 && b < opt.MaxExponentBits {
-			opt.MaxExponentBits = b
-		}
-		return s.execSparseGeneral(&req, opt)
-	}
-	sys, opt, err := s.systemAndOptions(req.System, req.Opts)
-	if err != nil {
-		return nil, err
-	}
-	opt.MaxExponentBits = s.cfg.MaxExponentBits
-	if b := req.Opts.MaxExponentBits; b > 0 && b < opt.MaxExponentBits {
-		opt.MaxExponentBits = b
-	}
-	iop, err := intOp(req.Op, req.Mod)
-	if err != nil {
-		return nil, err
-	}
-	if iop != nil {
-		init, err := DecodeInitInt(req.Init)
-		if err != nil {
-			return nil, err
-		}
-		if len(init) != sys.M {
-			return nil, fmt.Errorf("len(init) = %d, want m = %d", len(init), sys.M)
-		}
-		return func(ctx context.Context) (any, error) {
-			start := time.Now()
-			res, err := solveGeneral(ctx, s, sys, iop, init, opt)
-			if err != nil {
-				return nil, err
-			}
-			out := GeneralResponse{ValuesInt: res.Values, CAPRounds: res.CAPRounds, ElapsedMs: ms(start)}
-			if req.WithPowers {
-				out.Powers = res.Powers
-			}
-			return out, nil
-		}, nil
-	}
-	fop, err := floatOp(req.Op)
-	if err != nil {
-		return nil, err
-	}
-	if fop == nil {
-		return nil, fmt.Errorf("unknown op %q (one of %s)", req.Op, strings.Join(OpNames(), ", "))
-	}
-	init, err := DecodeInitFloat(req.Init)
-	if err != nil {
-		return nil, err
-	}
-	if len(init) != sys.M {
-		return nil, fmt.Errorf("len(init) = %d, want m = %d", len(init), sys.M)
-	}
-	return func(ctx context.Context) (any, error) {
-		start := time.Now()
-		res, err := solveGeneral(ctx, s, sys, fop, init, opt)
-		if err != nil {
-			return nil, err
-		}
-		out := GeneralResponse{ValuesFloat: res.Values, CAPRounds: res.CAPRounds, ElapsedMs: ms(start)}
-		if req.WithPowers {
-			out.Powers = res.Powers
-		}
-		return out, nil
-	}, nil
-}
-
-func (s *Server) execGrid2D(body []byte) (func(ctx context.Context) (any, error), error) {
-	var req Grid2DRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
-	}
-	sys := &req.System
-	if cells := int64(sys.Rows) * int64(sys.Cols); sys.Rows > 0 && sys.Cols > 0 && cells > int64(s.cfg.MaxN) {
-		return nil, fmt.Errorf("grid %dx%d = %d cells exceeds the server limit %d",
-			sys.Rows, sys.Cols, cells, s.cfg.MaxN)
-	}
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	opt, err := req.Opts.Options()
-	if err != nil {
-		return nil, err
-	}
-	opt.Procs = s.clampProcs(opt.Procs)
-	return func(ctx context.Context) (any, error) {
-		start := time.Now()
-		res, err := solveGrid2D(ctx, s, sys, opt)
-		if err != nil {
-			return nil, err
-		}
-		return Grid2DResponse{Values: res.Values, Rounds: res.Rounds,
-			Cells: res.Cells, ElapsedMs: ms(start)}, nil
-	}, nil
-}
-
-func (s *Server) execLoop(body []byte) (func(ctx context.Context) (any, error), error) {
+func (s *Server) execLoop(body []byte) (func(ctx context.Context) (any, error), int, error) {
 	var req LoopRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
+	if err := unmarshal(body, &req); err != nil {
+		return nil, 0, err
 	}
 	if req.Loop == "" {
-		return nil, fmt.Errorf("missing \"loop\" source")
+		return nil, 0, fmt.Errorf("missing \"loop\" source")
 	}
 	loop, err := ir.ParseLoop(req.Loop)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	c := ir.CompileLoop(loop)
-	procs := s.clampProcs(req.Opts.Procs)
+	procs := s.limits.clampProcs(req.Opts.Procs)
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
 		env := ir.NewEnv()
@@ -925,96 +611,32 @@ func (s *Server) execLoop(body []byte) (func(ctx context.Context) (any, error), 
 			Arrays:    env.Arrays,
 			ElapsedMs: ms(start),
 		}, nil
-	}, nil
+	}, req.Opts.TimeoutMs, nil
 }
 
 // ---------------------------------------------------------------- plumbing
 
-// systemAndOptions validates the wire system against server limits and
-// resolves the effective solve options.
-func (s *Server) systemAndOptions(w ir.SystemWire, ow ir.OptionsWire) (*ir.System, ir.SolveOptions, error) {
-	if w.N > s.cfg.MaxN || len(w.G) > s.cfg.MaxN {
-		return nil, ir.SolveOptions{}, fmt.Errorf("n = %d exceeds the server limit %d", max(w.N, len(w.G)), s.cfg.MaxN)
-	}
-	sys, err := w.System()
-	if err != nil {
-		return nil, ir.SolveOptions{}, err
-	}
-	opt, err := ow.Options()
-	if err != nil {
-		return nil, ir.SolveOptions{}, err
-	}
-	opt.Procs = s.clampProcs(opt.Procs)
-	return sys, opt, nil
-}
-
-// sparseAndOptions is systemAndOptions' sparse twin: it bounds the compact
-// dimensions (iterations and touched cells) by MaxN — the global cell count
-// is deliberately unbounded, since sparse work scales with the touched count
-// — decodes and validates the sparse encoding, and resolves options. When
-// the sparse fast path is disabled the dense fallback would materialize the
-// global array, so the global size must then also fit MaxN.
-func (s *Server) sparseAndOptions(w ir.SystemWire, ow ir.OptionsWire) (*ir.SparseSystem, ir.SolveOptions, error) {
-	if w.N > s.cfg.MaxN || len(w.G) > s.cfg.MaxN || len(w.Cells) > s.cfg.MaxN {
-		return nil, ir.SolveOptions{}, fmt.Errorf("n = %d exceeds the server limit %d",
-			max(w.N, max(len(w.G), len(w.Cells))), s.cfg.MaxN)
-	}
-	sp, err := w.Sparse()
-	if err != nil {
-		return nil, ir.SolveOptions{}, err
-	}
-	if !ir.SparseEnabled() && sp.M > s.cfg.MaxN {
-		return nil, ir.SolveOptions{}, fmt.Errorf("global m = %d exceeds the server limit %d while the sparse fast path is disabled",
-			sp.M, s.cfg.MaxN)
-	}
-	opt, err := ow.Options()
-	if err != nil {
-		return nil, ir.SolveOptions{}, err
-	}
-	opt.Procs = s.clampProcs(opt.Procs)
-	return sp, opt, nil
-}
-
-// clampProcs resolves a client-requested procs count against the server's
-// per-solve budget.
-func (s *Server) clampProcs(req int) int {
-	if req <= 0 || req > s.cfg.Procs {
-		return s.cfg.Procs
-	}
-	return req
-}
-
-// requestContext derives the solve ctx: the request's own ctx (cancelled on
-// client disconnect) bounded by the effective deadline.
-func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
+// RequestContext derives a solve ctx: r's own ctx (cancelled on client
+// disconnect) bounded by the client's timeoutMs clamped to maxTimeout, or
+// by def when the client set none.
+func RequestContext(r *http.Request, timeoutMs int, def, maxTimeout time.Duration) (context.Context, context.CancelFunc) {
+	d := def
 	if timeoutMs > 0 {
-		d = time.Duration(timeoutMs) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
+		d = min(time.Duration(timeoutMs)*time.Millisecond, maxTimeout)
 	}
 	return context.WithTimeout(r.Context(), d)
 }
 
-// timeoutOf peeks the timeout_ms option out of a raw body; decode errors
-// are reported by the endpoint's own decoder, so they're ignored here.
-func timeoutOf(body []byte) int {
-	var probe struct {
-		Opts ir.OptionsWire `json:"opts"`
-	}
-	_ = json.Unmarshal(body, &probe)
-	return probe.Opts.TimeoutMs
-}
-
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	rd := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
+// ReadBody reads r's body, failing with a "request body exceeds" error
+// once it passes limit bytes rather than truncating it.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	rd := http.MaxBytesReader(w, r.Body, limit)
 	defer rd.Close()
 	body, err := io.ReadAll(rd)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return nil, fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxRequestBytes)
+			return nil, fmt.Errorf("request body exceeds %d bytes", limit)
 		}
 		return nil, fmt.Errorf("reading request body: %v", err)
 	}
@@ -1026,16 +648,16 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 func (s *Server) refuse(w http.ResponseWriter, endpoint string, err error) {
 	w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
 	if errors.Is(err, errDraining) {
-		s.writeError(w, endpoint, http.StatusServiceUnavailable, "draining")
+		WriteError(w, s.metrics.requests, endpoint, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	s.metrics.shed.Inc(endpoint)
 	if errors.Is(err, errTenantShed) {
-		s.writeError(w, endpoint, http.StatusTooManyRequests,
+		WriteError(w, s.metrics.requests, endpoint, http.StatusTooManyRequests,
 			"tenant queue quota exceeded, retry later")
 		return
 	}
-	s.writeError(w, endpoint, http.StatusTooManyRequests,
+	WriteError(w, s.metrics.requests, endpoint, http.StatusTooManyRequests,
 		fmt.Sprintf("admission queue full (capacity %d), retry later", s.cfg.QueueDepth))
 }
 
@@ -1070,20 +692,20 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// statusForValidation maps pre-admission errors (all client mistakes) to
+// StatusForValidation maps pre-admission errors (all client mistakes) to
 // 400, except sparse-encoding defects — an unsorted, duplicated or
 // out-of-range touched-cell list, compact ids off the cell list, a
 // wrong-length compact init — which answer 422: the request parsed but its
 // sparse encoding is semantically unprocessable.
-func statusForValidation(err error) int {
+func StatusForValidation(err error) int {
 	if errors.Is(err, ir.ErrInvalidSparse) {
 		return http.StatusUnprocessableEntity
 	}
 	return http.StatusBadRequest
 }
 
-// statusForSolve maps solver errors to HTTP statuses.
-func statusForSolve(err error) int {
+// StatusForSolve maps solver errors to HTTP statuses.
+func StatusForSolve(err error) int {
 	var pe *parallel.PanicError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -1103,15 +725,18 @@ func statusForSolve(err error) int {
 	}
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, code int, v any) {
+// WriteJSON answers with v as a JSON body and counts the response in
+// requests{endpoint, code}.
+func WriteJSON(w http.ResponseWriter, requests *CounterVec, endpoint string, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-	s.metrics.requests.Inc(endpoint, strconv.Itoa(code))
+	requests.Inc(endpoint, strconv.Itoa(code))
 }
 
-func (s *Server) writeError(w http.ResponseWriter, endpoint string, code int, msg string) {
-	s.writeJSON(w, endpoint, code, ErrorResponse{Error: msg, Code: code})
+// WriteError answers with the ErrorResponse wire schema.
+func WriteError(w http.ResponseWriter, requests *CounterVec, endpoint string, code int, msg string) {
+	WriteJSON(w, requests, endpoint, code, ErrorResponse{Error: msg, Code: code})
 }
 
 func (s *Server) writeText(w http.ResponseWriter, endpoint string, code int, body string) {

@@ -131,14 +131,14 @@ func (s *Server) sessionRoutes() {
 // execSessionOpen validates an open request and returns the pool job that
 // seeds the session (sequential fold of the prefix + plan compile) and
 // admits it into the store.
-func (s *Server) execSessionOpen(body []byte) (func(ctx context.Context) (any, error), error) {
+func (s *Server) execSessionOpen(body []byte) (func(ctx context.Context) (any, error), int, error) {
 	var req SessionOpenRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
+	if err := unmarshal(body, &req); err != nil {
+		return nil, 0, err
 	}
 	spec, err := s.sessionSpec(&req)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
@@ -146,39 +146,20 @@ func (s *Server) execSessionOpen(body []byte) (func(ctx context.Context) (any, e
 		// configured; the session keeps its own reference, so later cache
 		// eviction cannot invalidate it.
 		if s.plans != nil {
-			var fp string
-			var compile func(context.Context) (*ir.Plan, error)
-			if spec.Family == ir.FamilyMoebius {
-				fp = ir.PlanFingerprint(ir.FamilyMoebius, len(spec.G), spec.M, spec.G, spec.F, nil, 0)
-				compile = func(cctx context.Context) (*ir.Plan, error) {
-					return ir.CompileMoebiusCtx(cctx, spec.M, spec.G, spec.F)
-				}
-			} else {
-				fam := spec.Family
-				if fam == ir.FamilyAuto {
-					if spec.System.Ordinary() && spec.System.GDistinct() {
-						fam = ir.FamilyOrdinary
-					} else {
-						fam = ir.FamilyGeneral
-					}
-				}
-				// Key exactly as the session's own fingerprint (and the
-				// one-shot solve paths) do: ordinary drops H and the
-				// exponent bits from the key.
-				if fam == ir.FamilyOrdinary {
-					fp = ir.PlanFingerprint(fam, spec.System.N, spec.System.M,
-						spec.System.G, spec.System.F, nil, 0)
-				} else {
-					fp = ir.PlanFingerprint(fam, spec.System.N, spec.System.M,
-						spec.System.G, spec.System.F, spec.System.H, spec.MaxExponentBits)
-				}
-				compile = func(cctx context.Context) (*ir.Plan, error) {
-					return ir.CompileCtx(cctx, spec.System, ir.CompileOptions{
-						Family: fam, Procs: spec.Opts.Procs, MaxExponentBits: spec.MaxExponentBits,
-					})
+			// Keyed exactly as the session's own fingerprint and the
+			// one-shot solves: the same Request.Plan resolves all of them.
+			pr := &Request{Family: spec.Family, System: spec.System, M: spec.M, G: spec.G, F: spec.F}
+			pr.Data.Opts.Procs = spec.Opts.Procs
+			if pr.Family == ir.FamilyAuto {
+				pr.Family = ir.FamilyGeneral
+				if spec.System.Ordinary() && spec.System.GDistinct() {
+					pr.Family = ir.FamilyOrdinary
 				}
 			}
-			if p, err := PlanFor(s.plans, ctx, fp, compile); err == nil {
+			if pr.Family == ir.FamilyGeneral {
+				pr.Bits = spec.MaxExponentBits
+			}
+			if p, err := pr.Plan(ctx, s.plans); err == nil {
 				spec.Plan = p
 			}
 		}
@@ -198,7 +179,7 @@ func (s *Server) execSessionOpen(body []byte) (func(ctx context.Context) (any, e
 			Fingerprint: sess.Fingerprint(),
 			ElapsedMs:   ms(start),
 		}, nil
-	}, nil
+	}, req.Opts.TimeoutMs, nil
 }
 
 // sessionSpec converts a wire open request into a session.Spec, applying
@@ -212,7 +193,7 @@ func (s *Server) sessionSpec(req *SessionOpenRequest) (*session.Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.Procs = s.clampProcs(opts.Procs)
+	opts.Procs = s.limits.clampProcs(opts.Procs)
 	spec.Opts = opts
 	switch strings.ToLower(req.Family) {
 	case "linear", "moebius":
@@ -254,27 +235,11 @@ func (s *Server) sessionSpec(req *SessionOpenRequest) (*session.Spec, error) {
 			return nil, err
 		}
 		spec.System = sys
-		spec.Op, spec.Mod = req.Op, req.Mod
-		iop, err := intOp(req.Op, req.Mod)
-		if err != nil {
+		data := ir.PlanData{Op: req.Op, Mod: req.Mod}
+		if err := decodeOpInit(&data, req.Init); err != nil {
 			return nil, err
 		}
-		if iop != nil {
-			if spec.InitInt, err = DecodeInitInt(req.Init); err != nil {
-				return nil, err
-			}
-		} else {
-			fop, err := floatOp(req.Op)
-			if err != nil {
-				return nil, err
-			}
-			if fop == nil {
-				return nil, fmt.Errorf("unknown op %q (one of %s)", req.Op, strings.Join(OpNames(), ", "))
-			}
-			if spec.InitFloat, err = DecodeInitFloat(req.Init); err != nil {
-				return nil, err
-			}
-		}
+		spec.Op, spec.Mod, spec.InitInt, spec.InitFloat = data.Op, data.Mod, data.InitInt, data.InitFloat
 	default:
 		return nil, fmt.Errorf("unknown family %q (one of ordinary, general, auto, linear, moebius)", req.Family)
 	}
@@ -295,30 +260,30 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.writeError(w, endpoint, http.StatusServiceUnavailable, "draining")
+		WriteError(w, s.metrics.requests, endpoint, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	body, werr := s.readBody(w, r)
+	body, werr := ReadBody(w, r, s.cfg.MaxRequestBytes)
 	if werr != nil {
 		code := http.StatusBadRequest
 		if strings.Contains(werr.Error(), "exceeds") {
 			code = http.StatusRequestEntityTooLarge
 		}
-		s.writeError(w, endpoint, code, werr.Error())
+		WriteError(w, s.metrics.requests, endpoint, code, werr.Error())
 		return
 	}
 	id := r.PathValue("id")
 	sess, err := s.sessions.Get(id)
 	if err != nil {
-		s.writeError(w, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
+		WriteError(w, s.metrics.requests, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
 		return
 	}
 	var req SessionAppendRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		s.writeError(w, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		WriteError(w, s.metrics.requests, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.Opts.TimeoutMs)
+	ctx, cancel := RequestContext(r, req.Opts.TimeoutMs, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	defer cancel()
 
 	type outcome struct {
@@ -353,12 +318,12 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if out.err != nil {
-			s.writeError(w, endpoint, statusForSession(out.err), out.err.Error())
+			WriteError(w, s.metrics.requests, endpoint, statusForSession(out.err), out.err.Error())
 			return
 		}
 		s.sessions.Touch(id)
 		s.metrics.sessionAppends.Inc()
-		s.writeJSON(w, endpoint, http.StatusOK, SessionAppendResponse{
+		WriteJSON(w, s.metrics.requests, endpoint, http.StatusOK, SessionAppendResponse{
 			N:           out.res.N,
 			Appends:     sess.Appends(),
 			ValuesInt:   out.res.ValuesInt,
@@ -368,7 +333,7 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 		})
 	case <-ctx.Done():
 		s.metrics.sessionAppendLatency.Observe(time.Since(start).Seconds())
-		s.writeError(w, endpoint, statusForSolve(ctx.Err()), ctx.Err().Error())
+		WriteError(w, s.metrics.requests, endpoint, StatusForSolve(ctx.Err()), ctx.Err().Error())
 	}
 }
 
@@ -379,11 +344,11 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess, err := s.sessions.Get(id)
 	if err != nil {
-		s.writeError(w, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
+		WriteError(w, s.metrics.requests, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
 		return
 	}
 	vi, vf, vm := sess.Values()
-	s.writeJSON(w, endpoint, http.StatusOK, SessionStateResponse{
+	WriteJSON(w, s.metrics.requests, endpoint, http.StatusOK, SessionStateResponse{
 		ID:          id,
 		Family:      sess.Family().String(),
 		M:           sess.M(),
@@ -402,7 +367,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "session_delete"
 	id := r.PathValue("id")
 	if err := s.sessions.Delete(id); err != nil {
-		s.writeError(w, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
+		WriteError(w, s.metrics.requests, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -423,6 +388,6 @@ func statusForSession(err error) int {
 	case errors.Is(err, session.ErrStoreFull):
 		return http.StatusInsufficientStorage
 	default:
-		return statusForSolve(err)
+		return StatusForSolve(err)
 	}
 }

@@ -36,5 +36,5 @@ func BuildVersion() VersionResponse {
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, "version", http.StatusOK, BuildVersion())
+	WriteJSON(w, s.metrics.requests, "version", http.StatusOK, BuildVersion())
 }
