@@ -108,8 +108,8 @@ func compareLine(id string, m, n, iters int, local, remote time.Duration, identi
 		local.Seconds()/remote.Seconds(), match)
 }
 
-// benchClusterOrdinary races an 8-chain ordinary prefix system: the shape
-// the coordinator shards chain-by-chain.
+// benchClusterOrdinary races an 8-chain ordinary prefix system, which the
+// coordinator forwards whole to the worker ranked first for its structure.
 func benchClusterOrdinary(ctx context.Context, c *client.Client, m, iters int) (string, error) {
 	const chains = 8
 	var g, f []int
@@ -164,8 +164,8 @@ func benchClusterOrdinary(ctx context.Context, c *client.Client, m, iters int) (
 	return compareLine("ordinary", m, len(g), iters, local, remote, sameInt64(localVals, remoteVals)), nil
 }
 
-// benchClusterGeneral races a general mul-mod system: the shape the
-// coordinator shards cell-by-cell.
+// benchClusterGeneral races a general mul-mod system, forwarded whole like
+// every coordinator solve.
 func benchClusterGeneral(ctx context.Context, c *client.Client, m, iters int) (string, error) {
 	n := m
 	g := make([]int, n)

@@ -1,7 +1,8 @@
 // Command ircoord is the ircluster coordinator daemon: it fronts a fleet of
 // irserved workers with the same /v1/solve JSON API a single irserved
-// exposes, scattering each solve's shards across the fleet and gathering
-// the slices into a bit-identical solution (see internal/cluster).
+// exposes, decoding each body as irserved would and forwarding it whole to
+// the worker ranked first for its structure, whose answer it relays (see
+// internal/cluster).
 //
 //	ircoord                                           # elastic fleet on :8070
 //	ircoord -workers host1:8080,host2:8080            # static fleet
@@ -11,16 +12,16 @@
 // The fleet is elastic: -workers is optional, and workers started with
 // -coordinator-url self-register (POST /v1/cluster/register) and hold
 // heartbeat leases of -lease; a missed lease drops the worker and its
-// shards re-home by rendezvous hashing. Each worker sits behind a circuit
-// breaker tuned by -breaker-threshold/-breaker-cooldown, and retries draw
-// on a per-solve -retry-budget. With -cluster-token the membership
-// endpoints require the shared token (workers pass the same value to their
-// -cluster-token flag); without one they are open and must only be exposed
-// on a trusted network.
+// structures re-home by rendezvous hashing. Each worker sits behind a
+// circuit breaker tuned by -breaker-threshold/-breaker-cooldown, and a
+// failed solve is re-sent to the next-ranked worker up to -retries times.
+// With -cluster-token the membership endpoints require the shared token
+// (workers pass the same value to their -cluster-token flag); without one
+// they are open and must only be exposed on a trusted network.
 //
-// Endpoints: POST /v1/solve/{ordinary,general,linear,moebius} (the loop
-// endpoint is intentionally absent — loop *execution* stays single-node),
-// the streaming-session pass-through POST /v1/session, POST
+// Endpoints: POST /v1/solve/{ordinary,general,linear,moebius,grid2d} (the
+// loop endpoint answers 501 — loop *execution* stays single-node), the
+// streaming-session pass-through POST /v1/session, POST
 // /v1/session/{id}/append, GET/DELETE /v1/session/{id} (each session is
 // pinned by rendezvous hash to one worker and re-homed by replay when that
 // worker dies), GET /healthz, /readyz, /metrics, /version, and the
@@ -55,20 +56,19 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8070", "listen address")
 		workers       = flag.String("workers", "", "comma-separated static worker addresses (optional; elastic workers self-register)")
-		retries       = flag.Int("retries", 3, "max per-shard re-sends after the first attempt")
-		retryBudget   = flag.Int("retry-budget", 0, "per-solve retry budget shared by all shards (0 = 4 + 2 per shard, negative disables)")
-		retryBackoff  = flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff between a shard's attempts")
+		retries       = flag.Int("retries", 3, "max re-sends of a solve to the next-ranked worker after the first attempt")
+		retryBackoff  = flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff between a solve's attempts")
 		maxRetryAfter = flag.Duration("max-retry-after", 2*time.Second, "cap on how far a worker's Retry-After hint stretches one backoff")
-		hedgeAfter    = flag.Duration("hedge-after", 2*time.Second, "hedge a duplicate shard request after this long (negative disables)")
+		hedgeAfter    = flag.Duration("hedge-after", 2*time.Second, "hedge a duplicate of a forwarded solve onto the next-ranked worker after this long (negative disables)")
 		probeInterval = flag.Duration("probe-interval", 5*time.Second, "static-worker health-probe period (negative disables)")
 		lease         = flag.Duration("lease", 5*time.Second, "membership lease granted to self-registering workers")
 		clusterToken  = flag.String("cluster-token", "", "shared token required on the membership endpoints (empty = open; trusted networks only)")
 		brThreshold   = flag.Int("breaker-threshold", 3, "consecutive failures that open a worker's circuit breaker (negative disables)")
 		brCooldown    = flag.Duration("breaker-cooldown", 5*time.Second, "wait before an open breaker admits its half-open probe")
-		reqTimeout    = flag.Duration("request-timeout", 60*time.Second, "cap on one shard HTTP request")
-		planCache     = flag.Int64("plan-cache", 0, "compiled-plan cache budget in bytes (0 = 256 MiB default, negative disables)")
+		reqTimeout    = flag.Duration("request-timeout", 60*time.Second, "cap on one forwarded solve's HTTP request")
+		planCache     = flag.Int64("plan-cache", 0, "local-fallback compiled-plan cache budget in bytes (0 = 256 MiB default, negative disables)")
 		maxN          = flag.Int("max-n", 4<<20, "max iterations per request")
-		procs         = flag.Int("procs", 0, "per-solve goroutine budget that client procs are clamped to (0 = GOMAXPROCS)")
+		procs         = flag.Int("procs", 0, "local-fallback per-solve goroutine budget that client procs are clamped to (0 = GOMAXPROCS)")
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables)")
 		showVersion   = flag.Bool("version", false, "print build version and exit")
 	)
@@ -89,7 +89,6 @@ func main() {
 	co := cluster.New(cluster.Config{
 		Workers:          fleet,
 		MaxRetries:       *retries,
-		RetryBudget:      *retryBudget,
 		RetryBackoff:     *retryBackoff,
 		MaxRetryAfter:    *maxRetryAfter,
 		HedgeAfter:       *hedgeAfter,

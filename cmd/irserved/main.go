@@ -12,9 +12,10 @@
 //	curl -s -X POST localhost:8080/v1/solve/linear -d \
 //	  '{"m":4,"g":[1,2,3],"f":[0,1,2],"a":[1,1,1],"b":[1,1,1],"x0":[1,0,0,0]}'
 //
-// Endpoints: POST /v1/solve/{ordinary,general,linear,moebius,loop}, POST
-// /v1/shard/solve (the worker role of a cluster; see internal/cluster), the
-// streaming-session lifecycle POST /v1/session, POST
+// Endpoints: POST /v1/solve/{ordinary,general,linear,moebius,grid2d,loop}
+// (a cluster worker needs nothing more: ircoord forwards each solve whole
+// to one of these; see internal/cluster), the streaming-session lifecycle
+// POST /v1/session, POST
 // /v1/session/{id}/append, GET/DELETE /v1/session/{id} (idle sessions are
 // evicted after -session-ttl), and GET /healthz, /readyz (503 while
 // draining), /metrics (Prometheus text), /version. SIGINT/SIGTERM trigger a graceful drain: readiness flips,
@@ -32,8 +33,9 @@
 // may evict queued work of lower-priority tenants when the queue fills.
 //
 // With -coordinator the process serves the ircluster coordinator instead:
-// solves scatter across the -workers-list fleet (see also cmd/ircoord,
-// the standalone coordinator daemon with the full flag set).
+// each solve is forwarded whole to one worker of the -workers-list fleet
+// (see also cmd/ircoord, the standalone coordinator daemon with the full
+// flag set).
 package main
 
 import (

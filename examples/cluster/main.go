@@ -1,13 +1,15 @@
 // Cluster: the paper's §3 worked example — Livermore loop 23 (2-D implicit
 // hydrodynamics) — solved through the ircluster distributed layer. Each
 // column's extended linear indexed recurrence is shipped to a coordinator,
-// which shards the Möbius cell domain across irserved workers and merges
-// the slices bit-identically to the local plan solve.
+// which forwards it whole to the irserved worker ranked first for that
+// column's structure; the answer is bit-identical to the local plan solve.
+// The six columns are six structures, so they spread over the fleet.
 //
 // By default the example is self-contained: it starts two in-process
 // irserved workers plus a coordinator, solves all six columns, then kills
-// one worker and solves again to show retries/re-scatter keeping answers
-// identical. Point it at a real fleet instead with -coordinator:
+// one worker and solves again to show retries onto the next-ranked worker
+// keeping answers identical. Point it at a real fleet instead with
+// -coordinator:
 //
 //	go run ./examples/cluster
 //	go run ./examples/cluster -coordinator http://127.0.0.1:8070
@@ -117,8 +119,8 @@ func main() {
 
 	if *coord == "" {
 		// Chaos act: kill one worker and solve again. The coordinator has no
-		// probe running, so it still believes the worker is up — the next
-		// scatter fails over shard by shard (retries, then re-scatter), and
+		// probe running, so it still believes the worker is up — each column
+		// routed to it fails over to the next-ranked worker (a retry), and
 		// every value must come back unchanged.
 		_ = workerSrvs[0].Close()
 		solveAll("pass 2 (one worker killed)")
@@ -164,7 +166,8 @@ func solveColumn(ctx context.Context, c *client.Client, k *livermore.Kernel, row
 		log.Fatalf("column %d: distributed solve: %v", j, err)
 	}
 
-	// Local baseline: the exact plan path the coordinator shards.
+	// Local baseline: the plan path every worker (and the coordinator's
+	// local fallback) runs.
 	ms := moebius.NewExtended(m, g, f, a, b, x)
 	p, err := ir.CompileMoebiusCtx(ctx, m, ms.G, ms.F)
 	if err != nil {

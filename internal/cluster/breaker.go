@@ -5,14 +5,14 @@ import (
 	"time"
 )
 
-// Per-worker circuit breaker. Every worker carries one; the scatter path
-// asks allow() before sending a shard and settles the admitted attempt's
+// Per-worker circuit breaker. Every worker carries one; the forwarding path
+// asks allow() before sending a solve and settles the admitted attempt's
 // outcome through the callback allow returns. The state machine is the
 // classic three-state breaker:
 //
 //	closed    — requests flow; consecutive failures are counted.
 //	open      — threshold consecutive failures tripped it; requests are
-//	            skipped (the next rendezvous rank takes the shard) until
+//	            skipped (the next rendezvous rank takes the solve) until
 //	            the cooldown elapses.
 //	half-open — after the cooldown ONE probe request is admitted; success
 //	            closes the breaker, failure re-opens it for another

@@ -105,7 +105,7 @@ func TestBreakerAbandonedProbeReleasesSlot(t *testing.T) {
 	admit(t, b, "the tripping request")(outcomeFailure) // threshold 1: open
 	clock = clock.Add(time.Second + time.Millisecond)
 
-	// The probe is abandoned (e.g. another worker won and the scatter ctx
+	// The probe is abandoned (e.g. another worker won and the solve ctx
 	// was cancelled): the breaker stays half-open but must re-admit.
 	probe := admit(t, b, "the first probe")
 	probe(outcomeAbandoned)

@@ -1,24 +1,28 @@
 // Package cluster is the distributed-solve layer over irserved workers: a
-// coordinator that compiles (or cache-loads) a solve plan, cuts its shard
-// domain along the paper's own parallel structure — chains of the ordinary
-// write-chain forest, output cells for the general and Möbius families —
-// scatters the shards to workers' POST /v1/shard/solve, and gathers the
-// slices back into a solution bit-identical to ir.Plan.SolveCtx.
+// coordinator that speaks irserved's own /v1/solve API, decodes each body
+// through the same server.Limits decoders (so an invalid body gets the same
+// answer from either role), and forwards the client's raw body whole to one
+// worker's /v1/solve/{family}, relaying its answer verbatim. A solve is
+// never cut across workers: the paper's parallelism — pointer jumping along
+// write chains, CAP over cell ranges — pays off inside one machine's solve,
+// while every cross-machine piece would need the whole structure again.
+// The fleet scales across solves instead.
 //
 // The fleet is elastic: besides the static Config.Workers list, workers
 // self-register over POST /v1/cluster/register and hold heartbeat leases; a
-// missed lease removes the worker (its shards re-home to the next
-// rendezvous rank on the next solve) and a graceful drain deregisters it
-// explicitly. Placement uses rendezvous hashing on (plan fingerprint,
-// shard), so membership changes only move the departed or arrived worker's
-// shards while survivors keep their plan/arena affinity. Each worker sits
-// behind a circuit breaker (closed → open on consecutive failures →
-// half-open probe); failures are retried with jittered backoff onto the
-// next-ranked worker under a per-solve retry budget, honoring Retry-After
+// missed lease removes the worker (its solves re-home to the next
+// rendezvous rank) and a graceful drain deregisters it explicitly.
+// Placement uses rendezvous hashing on the request's plan fingerprint, so
+// every solve of one structure lands on the worker whose plan cache already
+// holds it, and membership changes only move the departed or arrived
+// worker's structures. Each worker sits behind a circuit breaker (closed →
+// open on consecutive failures → half-open probe); failures are retried
+// with jittered backoff onto the next-ranked worker, honoring Retry-After
 // hints from shedding workers. Stragglers get a single hedged duplicate
 // whose loser is cancelled as soon as a winner lands, and a fleet with no
-// reachable workers degrades to a local in-process solve. Stdlib only,
-// like everything else in the repo.
+// reachable workers degrades to a local in-process solve. Streaming
+// sessions pin to a worker by the same key. Stdlib only, like everything
+// else in the repo.
 package cluster
 
 import (
@@ -26,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net/http"
 	"runtime"
 	"sync"
 	"time"
@@ -41,15 +44,10 @@ type Config struct {
 	// host:port entries get an http:// prefix. The list may be empty: an
 	// elastic fleet populates itself through /v1/cluster/register.
 	Workers []string
-	// MaxRetries bounds per-shard re-sends after the first attempt
-	// (default 3); RetryBudget bounds re-sends across a whole solve
-	// (default 4 + 2·shards, negative disables retries entirely).
+	// MaxRetries bounds a solve's re-sends after its first attempt
+	// (default 3); each retry goes to the next-ranked worker.
 	MaxRetries int
-	// RetryBudget is the per-solve retry budget shared by all of a
-	// solve's shards (0 selects the 4 + 2·shards default; negative
-	// disables retries).
-	RetryBudget int
-	// RetryBackoff is the base backoff between a shard's attempts; each
+	// RetryBackoff is the base backoff between a solve's attempts; each
 	// retry waits backoff·attempt plus up to 50% jitter (default 50ms). A
 	// shedding worker's Retry-After hint stretches the wait up to
 	// MaxRetryAfter.
@@ -57,8 +55,8 @@ type Config struct {
 	// MaxRetryAfter caps how long a worker's Retry-After hint can stretch
 	// one backoff (default 2s).
 	MaxRetryAfter time.Duration
-	// HedgeAfter is how long a shard request may run before a duplicate is
-	// hedged onto the next-ranked worker (default 2s; 0 keeps the default,
+	// HedgeAfter is how long a forwarded solve may run before a duplicate
+	// is hedged onto the next-ranked worker (default 2s; 0 keeps the default,
 	// negative disables hedging).
 	HedgeAfter time.Duration
 	// ProbeInterval is the health-probe period for static workers
@@ -74,7 +72,7 @@ type Config struct {
 	// X-IR-Cluster-Token header; requests without it answer 401, so only
 	// holders of the token can add or remove fleet members. Leave empty
 	// ONLY when the cluster API is reachable solely from a trusted network:
-	// an open membership API lets anyone route shard payloads to an
+	// an open membership API lets anyone route solve payloads to an
 	// arbitrary address or deregister legitimate workers.
 	ClusterToken string
 	// BreakerThreshold is how many consecutive worker-attributable
@@ -84,11 +82,11 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker waits before admitting
 	// its half-open probe (default 5s).
 	BreakerCooldown time.Duration
-	// RequestTimeout caps one shard HTTP request (default 60s); the solve
-	// ctx's deadline still applies on top.
+	// RequestTimeout caps one forwarded solve request (default 60s); the
+	// solve ctx's deadline still applies on top.
 	RequestTimeout time.Duration
-	// PlanCacheBytes bounds the coordinator's own compiled-plan cache
-	// (default 256 MiB, negative disables).
+	// PlanCacheBytes bounds the coordinator's own compiled-plan cache,
+	// used by local-fallback solves (default 256 MiB, negative disables).
 	PlanCacheBytes int64
 	// MaxN bounds accepted system sizes on the HTTP front-end (default
 	// 4,194,304, as irserved).
@@ -97,8 +95,9 @@ type Config struct {
 	// (default 16384, as irserved); requests may lower it but not raise it.
 	MaxExponentBits int
 	// Procs is the per-solve goroutine budget (default GOMAXPROCS): client
-	// procs are clamped to it for coordinator compiles, local-fallback
-	// solves and the shard requests forwarded to workers.
+	// procs are clamped to it for local-fallback compiles and solves. A
+	// forwarded body is sent verbatim, so the worker clamps its procs to
+	// the worker's own budget.
 	Procs int
 	// Logger receives worker lifecycle events; nil means log.Default().
 	Logger *log.Logger
@@ -187,18 +186,15 @@ func (w *worker) isUp() bool {
 	return w.up
 }
 
-// Coordinator owns the fleet view and executes distributed solves. Create
-// with New, serve its Handler, stop with Close.
+// Coordinator owns the fleet view and routes solves to it. Create with New,
+// serve its Handler, stop with Close.
 type Coordinator struct {
 	cfg     Config
 	limits  server.Limits
 	reg     *server.Registry
 	metrics *clusterMetrics
 	plans   *server.PlanCache
-	mux     *http.ServeMux
-	// allowed maps registered route paths to their methods, feeding the
-	// JSON 404/405 fallbacks (see fallbackRoutes).
-	allowed map[string][]string
+	mux     *server.Router
 
 	mmu     sync.RWMutex
 	members map[string]*worker
@@ -353,6 +349,6 @@ func (co *Coordinator) Close() {
 	<-co.leaseDone
 }
 
-// ErrNoWorkers reports a scatter attempted against an empty or fully-down
-// fleet; Solve converts it into a local fallback.
+// ErrNoWorkers reports a solve routed to an empty or fully-down fleet; the
+// coordinator then solves locally.
 var ErrNoWorkers = errors.New("ircluster: no reachable workers")

@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,7 +25,7 @@ import (
 
 // checkGoroutines snapshots the goroutine count and returns an assertion
 // that the count returned to (near) the snapshot — the cluster layer must
-// not leak scatter, hedge, or probe goroutines.
+// not leak forwarding, hedge, or probe goroutines.
 func checkGoroutines(t *testing.T) func() {
 	t.Helper()
 	before := runtime.NumGoroutine()
@@ -46,7 +48,7 @@ func checkGoroutines(t *testing.T) func() {
 }
 
 // testWorker is one in-process irserved worker behind an interceptable
-// handler, so chaos tests can delay or kill it mid-scatter.
+// handler, so chaos tests can delay or kill it mid-solve.
 type testWorker struct {
 	srv *server.Server
 	ts  *httptest.Server
@@ -108,6 +110,107 @@ func newFleet(t testing.TB, n int, mut func(*Config)) (*Coordinator, []*testWork
 	}
 	t.Cleanup(down)
 	return co, workers, down
+}
+
+// isSolve reports whether r is a solve request (POST /v1/solve/...), the
+// one kind of request the coordinator forwards to a worker.
+func isSolve(r *http.Request) bool {
+	return r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, server.APIPrefix)
+}
+
+// wireBody encodes spec as the /v1/solve/{endpoint} body a client posts.
+func wireBody(spec *server.Request) (endpoint string, body []byte, err error) {
+	var req any
+	switch spec.Family {
+	case ir.FamilyMoebius:
+		d := spec.Data
+		endpoint, req = "moebius", server.MoebiusRequest{M: spec.M, G: spec.G, F: spec.F,
+			A: d.A, B: d.B, C: d.C, D: d.D, X0: d.X0}
+	case ir.FamilyGrid2D:
+		endpoint, req = "grid2d", server.Grid2DRequest{System: *spec.Grid}
+	default:
+		var init any = spec.Data.InitFloat
+		if spec.Data.InitInt != nil {
+			init = spec.Data.InitInt
+		}
+		raw, err := json.Marshal(init)
+		if err != nil {
+			return "", nil, err
+		}
+		sys := ir.WireFromSystem(spec.System)
+		endpoint, req = "ordinary", server.OrdinaryRequest{System: sys, Op: spec.Data.Op, Mod: spec.Data.Mod, Init: raw}
+		if spec.Family == ir.FamilyGeneral {
+			endpoint, req = "general", server.GeneralRequest{System: sys, Op: spec.Data.Op, Mod: spec.Data.Mod, Init: raw,
+				WithPowers: spec.Data.WithPowers, Opts: ir.OptionsWire{MaxExponentBits: spec.Bits}}
+		}
+	}
+	body, err = json.Marshal(req)
+	return endpoint, body, err
+}
+
+// frontSolve posts spec's wire body through the coordinator's HTTP handler
+// — its one solve path — and decodes the answer.
+func frontSolve(ctx context.Context, co *Coordinator, spec *server.Request) (*ir.PlanSolution, error) {
+	endpoint, body, err := wireBody(spec)
+	if err != nil {
+		return nil, err
+	}
+	req := httptest.NewRequest(http.MethodPost, server.APIPrefix+endpoint, bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	co.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		return nil, fmt.Errorf("HTTP %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	var out struct {
+		ValuesInt   []int64   `json:"values_int"`
+		ValuesFloat []float64 `json:"values_float"`
+		Values      []float64 `json:"values"`
+		Rounds      int       `json:"rounds"`
+		CAPRounds   int       `json:"cap_rounds"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		return nil, err
+	}
+	return &ir.PlanSolution{ValuesInt: out.ValuesInt, ValuesFloat: out.ValuesFloat, Values: out.Values,
+		Rounds: out.Rounds, CAPRounds: out.CAPRounds}, nil
+}
+
+// routedTo returns the worker the coordinator forwards spec to first: the
+// top rendezvous rank of the live fleet on the request's fingerprint.
+func routedTo(t testing.TB, co *Coordinator, workers []*testWorker, spec *server.Request) *testWorker {
+	t.Helper()
+	fp, err := spec.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := rankWorkers(co.alive(), fp)[0]
+	for _, tw := range workers {
+		if tw.ts.URL == top.name {
+			return tw
+		}
+	}
+	t.Fatalf("top-ranked worker %s not in the fleet", top.name)
+	return nil
+}
+
+// metricValue reads one unlabelled sample from reg's exposition.
+func metricValue(t testing.TB, reg *server.Registry, name string) int64 {
+	t.Helper()
+	var page strings.Builder
+	if _, err := reg.WriteTo(&page); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(page.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no %s sample", name)
+	return 0
 }
 
 // specFor builds the solve spec a coordinator endpoint would produce.
@@ -270,7 +373,7 @@ func FuzzClusterAgainstLocal(f *testing.F) {
 			t.Skip()
 		}
 		for _, k := range []int{1, 2, 4} {
-			got, err := fleets[k].Solve(context.Background(), spec)
+			got, err := frontSolve(context.Background(), fleets[k], spec)
 			if err != nil {
 				t.Fatalf("seed %d, %d workers: %v", seed, k, err)
 			}
@@ -313,83 +416,152 @@ func TestClusterSolveAllFamilies(t *testing.T) {
 			if !ok {
 				continue
 			}
-			got, err := co.Solve(context.Background(), spec)
+			got, err := frontSolve(context.Background(), co, spec)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 			assertSameSolution(t, got, want)
 			solved++
 		}
-		if co.metrics.shards.Value() == 0 {
-			t.Fatal("no shards scattered; solves never went distributed")
+		if co.metrics.forwards.Value() == 0 {
+			t.Fatal("no solves forwarded; solves never went distributed")
 		}
 		if co.metrics.fallbacks.Value() != 0 {
 			t.Fatalf("%d local fallbacks in a healthy fleet", co.metrics.fallbacks.Value())
 		}
 		down()
 	}()
+
+	// Routing: every solve is one request to one worker, and solves of one
+	// structure with different init all land on the same worker, so the
+	// fleet compiles the structure exactly once.
+	for _, k := range []int{2, 4} {
+		func() {
+			co, workers, down := newFleet(t, k, nil)
+			defer down()
+			var requests atomic.Int64
+			for _, tw := range workers {
+				count := func(r *http.Request) bool {
+					if isSolve(r) {
+						requests.Add(1)
+					}
+					return true
+				}
+				tw.intercept.Store(&count)
+			}
+			const solves = 5
+			for i := 0; i < solves; i++ {
+				spec := chainSpec(96)
+				for x := range spec.Data.InitInt {
+					spec.Data.InitInt[x] = int64(x*(i+1) - 7*i)
+				}
+				got, err := frontSolve(context.Background(), co, spec)
+				if err != nil {
+					t.Fatalf("%d workers, solve %d: %v", k, i, err)
+				}
+				assertSameSolution(t, got, localSolution(t, spec))
+			}
+			if got := requests.Load(); got != solves {
+				t.Fatalf("%d workers: %d worker requests for %d solves, want one each", k, got, solves)
+			}
+			var total, compiling int64
+			for _, tw := range workers {
+				if n := metricValue(t, tw.srv.Registry(), "irserved_plan_cache_misses_total"); n > 0 {
+					total += n
+					compiling++
+				}
+			}
+			if total != 1 || compiling != 1 {
+				t.Fatalf("%d workers: %d plan-cache misses on %d workers, want 1 on exactly one", k, total, compiling)
+			}
+		}()
+	}
+
+	// A general solve asking for power traces is forwarded whole like any
+	// other: the worker's answer carries the traces the local plan yields.
+	func() {
+		co, workers, down := newFleet(t, 2, nil)
+		defer down()
+		spec := generalSpec(16)
+		spec.Data.WithPowers = true
+		want := localSolution(t, spec)
+		victim := routedTo(t, co, workers, spec)
+		var requests atomic.Int64
+		count := func(r *http.Request) bool {
+			if isSolve(r) {
+				requests.Add(1)
+			}
+			return true
+		}
+		victim.intercept.Store(&count)
+		_, body, err := wireBody(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		co.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, server.APIPrefix+"general", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("with_powers: HTTP %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		var out server.GeneralResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		assertSameSolution(t, &ir.PlanSolution{ValuesInt: out.ValuesInt}, want)
+		wantPowers, _ := json.Marshal(want.Powers)
+		gotPowers, _ := json.Marshal(out.Powers)
+		if len(want.Powers) == 0 || !bytes.Equal(gotPowers, wantPowers) {
+			t.Fatalf("with_powers: traces %s, want %s", gotPowers, wantPowers)
+		}
+		if requests.Load() != 1 || co.metrics.fallbacks.Value() != 0 {
+			t.Fatalf("with_powers: %d requests to the routed worker, %d fallbacks; want 1 and 0",
+				requests.Load(), co.metrics.fallbacks.Value())
+		}
+	}()
 	leak()
 }
 
-// TestChaosKillWorkerMidScatter kills one of two workers exactly when it
-// receives its first shard request; the coordinator must mark it down,
-// re-scatter the shard onto the survivor, and still produce the
-// bit-identical answer — with retries observed and no goroutines leaked.
+// TestChaosKillWorkerMidScatter kills the worker a solve routes to exactly
+// when it receives the forwarded solve; the coordinator must mark it down,
+// re-send the solve to the survivor, and still produce the bit-identical
+// answer — with retries observed and no goroutines leaked.
 func TestChaosKillWorkerMidScatter(t *testing.T) {
 	leak := checkGoroutines(t)
 	func() {
 		co, workers, down := newFleet(t, 2, nil)
 
-		// Arm worker 0: the first shard request aborts the connection and
-		// every later request is refused, like a crashed process.
+		// Arm the worker the solve routes to (its rendezvous rank on the
+		// plan fingerprint): the first solve request aborts the connection
+		// and every later request is refused, like a crashed process.
+		spec := chainSpec(64)
+		want := localSolution(t, spec)
+		victim := routedTo(t, co, workers, spec)
 		var killed atomic.Bool
 		kill := func(r *http.Request) bool {
-			if r.URL.Path == server.ShardPrefix+"solve" {
+			if isSolve(r) {
 				killed.Store(true)
 			}
 			return !killed.Load()
 		}
-		workers[0].intercept.Store(&kill)
+		victim.intercept.Store(&kill)
 
-		// Many-chain ordinary systems; shard placement is rendezvous-hashed
-		// per fingerprint, so vary the shape until a shard lands on the
-		// armed worker. Every answer along the way must still be exact.
-		var spec *server.Request
-		var want *ir.PlanSolution
-		for attempt := 0; attempt < 8 && !killed.Load(); attempt++ {
-			m := 64 + 2*attempt
-			g := make([]int, m/2)
-			f := make([]int, m/2)
-			init := make([]int64, m)
-			for i := range g {
-				g[i], f[i] = 2*i+1, 2*i
-			}
-			for i := range init {
-				init[i] = int64(i)
-			}
-			sys := &ir.System{M: m, N: len(g), G: g, F: f}
-			spec = specFor(ir.FamilyOrdinary, sys, 0, nil, nil,
-				ir.PlanData{Op: "int64-add", InitInt: init})
-			want = localSolution(t, spec)
-
-			got, err := co.Solve(context.Background(), spec)
-			if err != nil {
-				t.Fatalf("solve across a mid-scatter kill: %v", err)
-			}
-			assertSameSolution(t, got, want)
+		got, err := frontSolve(context.Background(), co, spec)
+		if err != nil {
+			t.Fatalf("solve across a mid-solve kill: %v", err)
 		}
+		assertSameSolution(t, got, want)
 		if !killed.Load() {
-			t.Fatal("worker 0 never saw a shard; the chaos never happened")
+			t.Fatal("the routed worker never saw the solve; the chaos never happened")
 		}
 		if co.metrics.retries.Value() == 0 && co.metrics.fallbacks.Value() == 0 {
 			t.Fatal("kill produced neither a retry nor a fallback")
 		}
-		if co.metrics.workerUp.Value(workers[0].ts.URL) != 0 {
+		if co.metrics.workerUp.Value(victim.ts.URL) != 0 {
 			t.Fatal("killed worker still marked up")
 		}
 
 		// The fleet keeps answering afterwards, on the survivor alone.
-		got, err := co.Solve(context.Background(), spec)
+		got, err = frontSolve(context.Background(), co, spec)
 		if err != nil {
 			t.Fatalf("solve after the kill: %v", err)
 		}
@@ -415,7 +587,7 @@ func TestFallbackWhenAllWorkersDown(t *testing.T) {
 		spec := specFor(ir.FamilyOrdinary, &ir.System{M: 4, N: 3, G: []int{1, 2, 3}, F: []int{0, 1, 2}}, 0, nil, nil,
 			ir.PlanData{Op: "int64-add", InitInt: []int64{1, 2, 3, 4}})
 		want := localSolution(t, spec)
-		got, err := co.Solve(context.Background(), spec)
+		got, err := frontSolve(context.Background(), co, spec)
 		if err != nil {
 			t.Fatalf("fallback solve: %v", err)
 		}
@@ -428,7 +600,7 @@ func TestFallbackWhenAllWorkersDown(t *testing.T) {
 	leak()
 }
 
-// TestHedgedRequest delays the first shard request each worker sees past
+// TestHedgedRequest delays the first solve request each worker sees past
 // the hedge threshold; the duplicate fired at the second-ranked worker must
 // win and the hedge must be visible in metrics.
 func TestHedgedRequest(t *testing.T) {
@@ -440,7 +612,7 @@ func TestHedgedRequest(t *testing.T) {
 		for _, tw := range workers {
 			var once atomic.Bool
 			slow := func(r *http.Request) bool {
-				if r.URL.Path == server.ShardPrefix+"solve" && once.CompareAndSwap(false, true) {
+				if isSolve(r) && once.CompareAndSwap(false, true) {
 					time.Sleep(400 * time.Millisecond)
 				}
 				return true
@@ -448,19 +620,19 @@ func TestHedgedRequest(t *testing.T) {
 			tw.intercept.Store(&slow)
 		}
 
-		// Single chain → single shard → the first attempt is slow and the
-		// hedge lands on the other, still-fast worker.
+		// The first attempt is slow and the hedge lands on the other,
+		// still-fast worker.
 		spec := specFor(ir.FamilyOrdinary, &ir.System{M: 8, N: 7,
 			G: []int{1, 2, 3, 4, 5, 6, 7}, F: []int{0, 1, 2, 3, 4, 5, 6}}, 0, nil, nil,
 			ir.PlanData{Op: "int64-add", InitInt: []int64{1, 1, 1, 1, 1, 1, 1, 1}})
 		want := localSolution(t, spec)
-		got, err := co.Solve(context.Background(), spec)
+		got, err := frontSolve(context.Background(), co, spec)
 		if err != nil {
 			t.Fatalf("hedged solve: %v", err)
 		}
 		assertSameSolution(t, got, want)
 		if co.metrics.hedges.Value() == 0 {
-			t.Fatal("no hedge fired for a straggling shard")
+			t.Fatal("no hedge fired for a straggling solve")
 		}
 		down()
 	}()

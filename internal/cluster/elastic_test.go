@@ -91,8 +91,8 @@ func chainSpec(m int) *server.Request {
 		ir.PlanData{Op: "int64-add", InitInt: init})
 }
 
-// singleChainSpec is the smallest one-shard solve: one chain through all
-// of a tiny domain, so a test controls exactly one shard request.
+// singleChainSpec is the smallest solve: one chain through all of a tiny
+// domain, forwarded as exactly one worker request.
 func singleChainSpec() *server.Request {
 	return specFor(ir.FamilyOrdinary, &ir.System{M: 8, N: 7,
 		G: []int{1, 2, 3, 4, 5, 6, 7}, F: []int{0, 1, 2, 3, 4, 5, 6}}, 0, nil, nil,
@@ -171,7 +171,7 @@ func runRegistrar(t *testing.T, frontURL string, tw *testWorker) (stop func()) {
 
 // TestRegistrarLifecycle runs the real worker-side Registrar against a real
 // coordinator front-end: registration makes the worker a live dynamic
-// member that serves shards, and cancelling the registrar deregisters it
+// member that serves solves, and cancelling the registrar deregisters it
 // immediately (no lease wait).
 func TestRegistrarLifecycle(t *testing.T) {
 	leak := checkGoroutines(t)
@@ -210,16 +210,16 @@ func TestRegistrarLifecycle(t *testing.T) {
 			t.Fatalf("ircluster_members = %v, want 1", got)
 		}
 
-		// The registered member serves real shards.
+		// The registered member serves real solves.
 		spec := chainSpec(64)
 		want := localSolution(t, spec)
-		got, err := co.Solve(context.Background(), spec)
+		got, err := frontSolve(context.Background(), co, spec)
 		if err != nil {
 			t.Fatalf("solve on a registered fleet: %v", err)
 		}
 		assertSameSolution(t, got, want)
-		if co.metrics.shards.Value() == 0 {
-			t.Fatal("solve never scattered to the registered worker")
+		if co.metrics.forwards.Value() == 0 {
+			t.Fatal("solve never forwarded to the registered worker")
 		}
 
 		// The fleet view reports the dynamic member with its breaker closed.
@@ -451,7 +451,7 @@ func TestElasticChurnUnderLoad(t *testing.T) {
 					default:
 					}
 					k := i % len(specs)
-					got, err := co.Solve(context.Background(), specs[k])
+					got, err := frontSolve(context.Background(), co, specs[k])
 					if err != nil {
 						report(fmt.Errorf("solve during churn: %w", err))
 						return
@@ -562,25 +562,33 @@ func TestBreakerIsolatesFailingWorker(t *testing.T) {
 			cfg.BreakerThreshold = 2
 			cfg.BreakerCooldown = time.Second
 		})
-		var shardHits atomic.Int64
+		var solveHits atomic.Int64
 		fail := func(w http.ResponseWriter, r *http.Request) bool {
-			if r.URL.Path != server.ShardPrefix+"solve" {
+			if !isSolve(r) {
 				return false
 			}
-			shardHits.Add(1)
+			solveHits.Add(1)
 			w.WriteHeader(http.StatusInternalServerError)
 			_, _ = w.Write([]byte(`{"error":"injected failure","code":500}`))
 			return true
 		}
 		workers[0].respond.Store(&fail)
 
-		// Shard placement is rendezvous-hashed per plan fingerprint, so cycle
-		// system shapes to guarantee some shards rank the failing worker
-		// first regardless of the random test ports.
-		specs := make([]*server.Request, 8)
+		// Placement is rendezvous-hashed per plan fingerprint, so pick
+		// system shapes half of which rank the failing worker first,
+		// whatever the random test ports.
+		var failing, healthy []*server.Request
+		for i := 0; len(failing) < 4 || len(healthy) < 4; i++ {
+			spec := chainSpec(64 + 4*i)
+			if routedTo(t, co, workers, spec) == workers[0] {
+				failing = append(failing, spec)
+			} else {
+				healthy = append(healthy, spec)
+			}
+		}
+		specs := append(append([]*server.Request{}, failing[:4]...), healthy[:4]...)
 		wants := make([]*ir.PlanSolution, len(specs))
 		for i := range specs {
-			specs[i] = chainSpec(64 + 4*i)
 			wants[i] = localSolution(t, specs[i])
 		}
 		next := 0
@@ -588,7 +596,7 @@ func TestBreakerIsolatesFailingWorker(t *testing.T) {
 			t.Helper()
 			k := next % len(specs)
 			next++
-			got, err := co.Solve(context.Background(), specs[k])
+			got, err := frontSolve(context.Background(), co, specs[k])
 			if err != nil {
 				t.Fatalf("solve: %v", err)
 			}
@@ -616,10 +624,10 @@ func TestBreakerIsolatesFailingWorker(t *testing.T) {
 
 		// While the breaker is open (inside the cooldown) the worker
 		// receives no traffic.
-		quiet := shardHits.Load()
+		quiet := solveHits.Load()
 		solveOK()
 		solveOK()
-		if got := shardHits.Load(); got != quiet {
+		if got := solveHits.Load(); got != quiet {
 			t.Fatalf("open breaker leaked %d requests to the failing worker", got-quiet)
 		}
 
@@ -639,7 +647,7 @@ func TestBreakerIsolatesFailingWorker(t *testing.T) {
 }
 
 // TestAbandonedProbeDoesNotBlackholeWorker reproduces the breaker-latch
-// regression at the scatter level: a half-open probe whose request dies
+// regression at the forwarding level: a half-open probe whose request dies
 // with the solve context (caller-side cancellation, no worker-attributable
 // outcome) must release the probe slot. Before the fix the abandoned probe
 // left probing latched forever, blackholing the worker from every future
@@ -658,7 +666,7 @@ func TestAbandonedProbeDoesNotBlackholeWorker(t *testing.T) {
 		// Trip the breaker: one 500 opens it (threshold 1); the solve falls
 		// back locally and still answers.
 		fail := func(w http.ResponseWriter, r *http.Request) bool {
-			if r.URL.Path != server.ShardPrefix+"solve" {
+			if !isSolve(r) {
 				return false
 			}
 			w.WriteHeader(http.StatusInternalServerError)
@@ -668,7 +676,7 @@ func TestAbandonedProbeDoesNotBlackholeWorker(t *testing.T) {
 		workers[0].respond.Store(&fail)
 		spec := singleChainSpec()
 		want := localSolution(t, spec)
-		got, err := co.Solve(context.Background(), spec)
+		got, err := frontSolve(context.Background(), co, spec)
 		if err != nil {
 			t.Fatalf("solve during trip: %v", err)
 		}
@@ -683,7 +691,7 @@ func TestAbandonedProbeDoesNotBlackholeWorker(t *testing.T) {
 		// admitted, then abandoned by the cancellation.
 		time.Sleep(60 * time.Millisecond)
 		hang := func(r *http.Request) bool {
-			if r.URL.Path != server.ShardPrefix+"solve" {
+			if !isSolve(r) {
 				return true
 			}
 			_, _ = io.Copy(io.Discard, r.Body)
@@ -692,7 +700,7 @@ func TestAbandonedProbeDoesNotBlackholeWorker(t *testing.T) {
 		}
 		workers[0].intercept.Store(&hang)
 		sctx, scancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		_, err = co.Solve(sctx, spec)
+		_, err = frontSolve(sctx, co, spec)
 		scancel()
 		if err == nil {
 			t.Fatal("hung-probe solve succeeded; the probe was never in flight")
@@ -710,7 +718,7 @@ func TestAbandonedProbeDoesNotBlackholeWorker(t *testing.T) {
 			return ok
 		})
 		waitFor(t, 10*time.Second, "the breaker to close on live traffic", func() bool {
-			got, err := co.Solve(context.Background(), spec)
+			got, err := frontSolve(context.Background(), co, spec)
 			if err != nil {
 				t.Fatalf("post-recovery solve: %v", err)
 			}
@@ -722,7 +730,7 @@ func TestAbandonedProbeDoesNotBlackholeWorker(t *testing.T) {
 	leak()
 }
 
-// TestRetryAfterHonored sheds the first shard request with 429 and a 1s
+// TestRetryAfterHonored sheds the first solve request with 429 and a 1s
 // Retry-After hint under a 250ms MaxRetryAfter clamp: the retry must wait
 // at least the clamped hint (far above the millisecond base backoff) but
 // not the full advertised second.
@@ -734,7 +742,7 @@ func TestRetryAfterHonored(t *testing.T) {
 		})
 		var shed atomic.Bool
 		shedOnce := func(w http.ResponseWriter, r *http.Request) bool {
-			if r.URL.Path != server.ShardPrefix+"solve" || !shed.CompareAndSwap(false, true) {
+			if !isSolve(r) || !shed.CompareAndSwap(false, true) {
 				return false
 			}
 			w.Header().Set("Retry-After", "1")
@@ -744,12 +752,12 @@ func TestRetryAfterHonored(t *testing.T) {
 		}
 		workers[0].respond.Store(&shedOnce)
 
-		// Single chain → single shard → the one shed and its retry dominate
-		// the wall clock.
+		// One tiny solve: the one shed and its retry dominate the wall
+		// clock.
 		spec := singleChainSpec()
 		want := localSolution(t, spec)
 		start := time.Now()
-		got, err := co.Solve(context.Background(), spec)
+		got, err := frontSolve(context.Background(), co, spec)
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatalf("solve across a shed: %v", err)
@@ -759,7 +767,7 @@ func TestRetryAfterHonored(t *testing.T) {
 			t.Fatal("the 429 never fired")
 		}
 		if co.metrics.retries.Value() == 0 {
-			t.Fatal("shed shard was not retried")
+			t.Fatal("shed solve was not retried")
 		}
 		if elapsed < 240*time.Millisecond {
 			t.Fatalf("solve finished in %v; the Retry-After hint was not honored", elapsed)
@@ -772,7 +780,7 @@ func TestRetryAfterHonored(t *testing.T) {
 	leak()
 }
 
-// TestHedgeLoserCancelledPromptly holds the first shard request hostage
+// TestHedgeLoserCancelledPromptly holds the first solve request hostage
 // until its request context dies: the hedge must win on the other worker
 // and the coordinator must cancel the loser as soon as the winner lands —
 // not when the solve or some outer deadline would have expired.
@@ -785,7 +793,7 @@ func TestHedgeLoserCancelledPromptly(t *testing.T) {
 		var first atomic.Bool
 		released := make(chan time.Time, 1)
 		block := func(r *http.Request) bool {
-			if r.URL.Path == server.ShardPrefix+"solve" && first.CompareAndSwap(false, true) {
+			if isSolve(r) && first.CompareAndSwap(false, true) {
 				// Drain the body so the server's background read can detect
 				// the client abort and cancel r.Context().
 				_, _ = io.Copy(io.Discard, r.Body)
@@ -804,14 +812,14 @@ func TestHedgeLoserCancelledPromptly(t *testing.T) {
 
 		spec := singleChainSpec()
 		want := localSolution(t, spec)
-		got, err := co.Solve(context.Background(), spec)
+		got, err := frontSolve(context.Background(), co, spec)
 		won := time.Now()
 		if err != nil {
 			t.Fatalf("hedged solve: %v", err)
 		}
 		assertSameSolution(t, got, want)
 		if co.metrics.hedges.Value() == 0 {
-			t.Fatal("no hedge fired for the blocked shard")
+			t.Fatal("no hedge fired for the blocked solve")
 		}
 		select {
 		case at := <-released:

@@ -17,7 +17,7 @@ import (
 	"indexedrec/ir"
 )
 
-// gridSpec wraps a grid system as the solve spec specGrid2D would build.
+// gridSpec wraps a grid system as the solve spec DecodeGrid2D would build.
 func gridSpec(sys *ir.Grid2DSystem) *server.Request {
 	return &server.Request{Family: ir.FamilyGrid2D, Grid: sys, Data: ir.PlanData{Grid: sys}}
 }
@@ -65,20 +65,20 @@ func gridReference(t testing.TB, sys *ir.Grid2DSystem) *ir.Grid2DResult {
 	return res
 }
 
-// TestGrid2DScatterMatchesLocal pipelines row bands across fleets of
-// several sizes and requires the stitched result to be bit-identical to a
-// local solve, with every band served remotely (no silent fallback).
+// TestGrid2DScatterMatchesLocal routes grids through fleets of several
+// sizes and requires the answer to be bit-identical to a local solve, with
+// each grid forwarded whole to one worker (no bands, no silent fallback).
 func TestGrid2DScatterMatchesLocal(t *testing.T) {
 	defer checkGoroutines(t)()
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 3} {
 		for _, ring := range []string{"", "minplus", "maxplus"} {
 			co, workers, down := newFleet(t, n, nil)
-			var shardHits atomic.Int64
+			var solveHits atomic.Int64
 			for _, tw := range workers {
 				count := func(r *http.Request) bool {
-					if strings.HasSuffix(r.URL.Path, "solve") && strings.Contains(r.URL.Path, "shard") {
-						shardHits.Add(1)
+					if isSolve(r) {
+						solveHits.Add(1)
 					}
 					return true
 				}
@@ -86,7 +86,7 @@ func TestGrid2DScatterMatchesLocal(t *testing.T) {
 			}
 			sys := randGrid(rng, 37, 23, ring)
 			want := gridReference(t, sys)
-			sol, err := co.Solve(context.Background(), gridSpec(sys))
+			sol, err := frontSolve(context.Background(), co, gridSpec(sys))
 			if err != nil {
 				t.Fatalf("fleet=%d ring=%q: %v", n, ring, err)
 			}
@@ -97,27 +97,12 @@ func TestGrid2DScatterMatchesLocal(t *testing.T) {
 			if got := co.metrics.fallbacks.Value(); got != 0 {
 				t.Fatalf("fleet=%d ring=%q: %d local fallbacks, want none", n, ring, got)
 			}
-			if hits := shardHits.Load(); hits < int64(n) {
-				t.Fatalf("fleet=%d ring=%q: only %d shard requests for %d bands", n, ring, hits, n)
+			if hits := solveHits.Load(); hits != 1 {
+				t.Fatalf("fleet=%d ring=%q: %d worker requests, want the grid forwarded whole once", n, ring, hits)
 			}
 			down()
 		}
 	}
-}
-
-// TestGrid2DMoreWorkersThanRows caps the band count at the row count so no
-// worker receives an empty band.
-func TestGrid2DMoreWorkersThanRows(t *testing.T) {
-	defer checkGoroutines(t)()
-	co, _, down := newFleet(t, 4, nil)
-	defer down()
-	sys := randGrid(rand.New(rand.NewSource(11)), 2, 29, "minplus")
-	want := gridReference(t, sys)
-	sol, err := co.Solve(context.Background(), gridSpec(sys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSolution(t, sol, &ir.PlanSolution{Values: want.Values})
 }
 
 // TestGrid2DNoWorkersFallback requires an empty fleet to degrade to a
@@ -128,7 +113,7 @@ func TestGrid2DNoWorkersFallback(t *testing.T) {
 	defer down()
 	sys := randGrid(rand.New(rand.NewSource(3)), 19, 31, "")
 	want := gridReference(t, sys)
-	sol, err := co.Solve(context.Background(), gridSpec(sys))
+	sol, err := frontSolve(context.Background(), co, gridSpec(sys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,19 +123,19 @@ func TestGrid2DNoWorkersFallback(t *testing.T) {
 	}
 }
 
-// TestGrid2DWorkerCrashFallsBack kills every worker mid-pipeline and
+// TestGrid2DWorkerCrashFallsBack kills every worker as the grid arrives and
 // requires the coordinator to finish the solve locally, bit-identical.
 func TestGrid2DWorkerCrashFallsBack(t *testing.T) {
 	defer checkGoroutines(t)()
 	co, workers, down := newFleet(t, 2, nil)
 	defer down()
 	for _, tw := range workers {
-		die := func(r *http.Request) bool { return !strings.Contains(r.URL.Path, "shard") }
+		die := func(r *http.Request) bool { return !isSolve(r) }
 		tw.intercept.Store(&die)
 	}
 	sys := randGrid(rand.New(rand.NewSource(5)), 23, 17, "maxplus")
 	want := gridReference(t, sys)
-	sol, err := co.Solve(context.Background(), gridSpec(sys))
+	sol, err := frontSolve(context.Background(), co, gridSpec(sys))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"indexedrec/internal/server"
@@ -16,94 +15,61 @@ import (
 // The coordinator's HTTP front-end speaks the same /v1/solve API as a
 // single irserved, so clients point at a coordinator without changing a
 // line: ordinary, general, linear, moebius and grid2d bodies decode through
-// the very server.Limits decoders irserved uses and scatter across the
-// fleet, /v1/solve/loop answers 501 (loop execution is whole-machine by
-// construction), and /healthz, /readyz, /metrics, /version behave as on
+// the very server.Limits decoders irserved uses and are forwarded whole to
+// one worker, /v1/solve/loop answers 501 (loop execution is whole-machine
+// by construction), and /healthz, /readyz, /metrics, /version behave as on
 // irserved. /v1/cluster/workers reports the fleet view.
 
-// The front-end's request bounds: bodies over maxBodyBytes answer 400, and
-// a solve runs under the client's timeout_ms clamped to maxSolveTimeout, or
-// solveTimeout when it set none (irserved's defaults).
+// The front-end's request bounds: bodies over server.DefaultMaxRequestBytes
+// answer 400, as on a default irserved, and a solve runs under the client's
+// timeout_ms clamped to maxSolveTimeout, or solveTimeout when it set none
+// (irserved's defaults).
 const (
-	maxBodyBytes    = 64 << 20
 	solveTimeout    = 30 * time.Second
 	maxSolveTimeout = 2 * time.Minute
 )
 
 func (co *Coordinator) routes() {
-	co.mux = http.NewServeMux()
-	co.allowed = make(map[string][]string)
-	co.handle("GET", "/healthz", func(w http.ResponseWriter, r *http.Request) {
+	co.mux = server.NewRouter()
+	co.mux.Handle("GET", "/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = io.WriteString(w, "ok\n")
 	})
-	co.handle("GET", "/readyz", func(w http.ResponseWriter, r *http.Request) {
+	co.mux.Handle("GET", "/readyz", func(w http.ResponseWriter, r *http.Request) {
 		// The coordinator is ready even with zero workers: solves degrade
 		// to local execution rather than failing.
 		w.WriteHeader(http.StatusOK)
 		_, _ = io.WriteString(w, "ok\n")
 	})
-	co.handle("GET", "/metrics", func(w http.ResponseWriter, r *http.Request) {
+	co.mux.Handle("GET", "/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
 		_, _ = co.reg.WriteTo(w)
 	})
-	co.handle("GET", "/version", func(w http.ResponseWriter, r *http.Request) {
+	co.mux.Handle("GET", "/version", func(w http.ResponseWriter, r *http.Request) {
 		server.WriteJSON(w, co.metrics.requests, "version", http.StatusOK, server.BuildVersion())
 	})
-	co.handle("GET", server.ClusterPrefix+"workers", co.handleWorkers)
-	co.handle("POST", server.ClusterPrefix+"register", co.handleRegister)
-	co.handle("POST", server.ClusterPrefix+"heartbeat", co.handleHeartbeat)
-	co.handle("POST", server.ClusterPrefix+"deregister", co.handleDeregister)
+	co.mux.Handle("GET", server.ClusterPrefix+"workers", co.handleWorkers)
+	co.mux.Handle("POST", server.ClusterPrefix+"register", co.handleRegister)
+	co.mux.Handle("POST", server.ClusterPrefix+"heartbeat", co.handleHeartbeat)
+	co.mux.Handle("POST", server.ClusterPrefix+"deregister", co.handleDeregister)
 	co.sessionRoutes()
-	co.handle("POST", server.APIPrefix+"ordinary", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "ordinary", co.limits.DecodeOrdinary)
-	})
-	co.handle("POST", server.APIPrefix+"general", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "general", co.limits.DecodeGeneral)
-	})
-	co.handle("POST", server.APIPrefix+"linear", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "linear", co.limits.DecodeLinear)
-	})
-	co.handle("POST", server.APIPrefix+"moebius", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "moebius", co.limits.DecodeMoebius)
-	})
-	co.handle("POST", server.APIPrefix+"grid2d", func(w http.ResponseWriter, r *http.Request) {
-		co.handleSolve(w, r, "grid2d", co.limits.DecodeGrid2D)
-	})
-	co.handle("POST", server.APIPrefix+"loop", func(w http.ResponseWriter, r *http.Request) {
+	for endpoint, decode := range map[string]func([]byte) (*server.Request, error){
+		"ordinary": co.limits.DecodeOrdinary,
+		"general":  co.limits.DecodeGeneral,
+		"linear":   co.limits.DecodeLinear,
+		"moebius":  co.limits.DecodeMoebius,
+		"grid2d":   co.limits.DecodeGrid2D,
+	} {
+		co.mux.Handle("POST", server.APIPrefix+endpoint, func(w http.ResponseWriter, r *http.Request) {
+			co.handleSolve(w, r, endpoint, decode)
+		})
+	}
+	co.mux.Handle("POST", server.APIPrefix+"loop", func(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, co.metrics.requests, "loop", http.StatusNotImplemented,
 			"loop execution is not distributed; POST /v1/solve/loop to a worker directly")
 	})
-	co.fallbackRoutes()
-}
-
-// handle registers h for "METHOD path" and records the method under the
-// path so fallbackRoutes can answer mismatches with the JSON wire error
-// schema instead of the mux's plain-text pages.
-func (co *Coordinator) handle(method, path string, h http.HandlerFunc) {
-	co.mux.HandleFunc(method+" "+path, h)
-	co.allowed[path] = append(co.allowed[path], method)
-}
-
-// fallbackRoutes closes the plain-text gaps a bare ServeMux leaves: a known
-// path hit with the wrong method gets a 405 with an Allow header, and any
-// unknown path gets a 404 — both as server.ErrorResponse JSON, the same
-// schema every implemented endpoint (and irserved) speaks, so clients never
-// need a second error decoder for the coordinator's edges.
-func (co *Coordinator) fallbackRoutes() {
-	for path, methods := range co.allowed {
-		allow := strings.Join(methods, ", ")
-		co.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Allow", allow)
-			server.WriteError(w, co.metrics.requests, "unmatched", http.StatusMethodNotAllowed,
-				fmt.Sprintf("method %s not allowed for %s (allow: %s)", r.Method, r.URL.Path, allow))
-		})
-	}
-	co.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		server.WriteError(w, co.metrics.requests, "unmatched", http.StatusNotFound,
-			fmt.Sprintf("no such endpoint %s (solve endpoints live under %s)", r.URL.Path, server.APIPrefix))
-	})
+	co.mux.Seal(co.metrics.requests)
 }
 
 // Handler returns the coordinator's HTTP handler.
@@ -170,7 +136,7 @@ func (co *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 // token when one is configured, answering 401 (and reporting false) on a
 // missing or wrong token. Without a token the endpoints are open — the
 // deployment must then keep the cluster API on a trusted network, since
-// membership writes control where shard payloads are routed.
+// membership writes control where solve payloads are routed.
 func (co *Coordinator) authorizeMember(w http.ResponseWriter, r *http.Request, endpoint string) bool {
 	if co.cfg.ClusterToken == "" {
 		return true
@@ -237,10 +203,14 @@ func (co *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleSolve is the coordinator's end of the shared pipeline (see
-// server.Request): decode → Solve (plan, scatter, merge) → Response.
+// server.Request): read and decode the body under the same Limits irserved
+// uses — so an invalid body gets irserved's answer and never reaches a
+// worker — then solve (forward whole, or locally as a fallback) and write
+// the answer. A forwarded answer is the worker's body byte for byte, so its
+// elapsed_ms is the worker's own time, not the coordinator's.
 func (co *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request, endpoint string, decode func([]byte) (*server.Request, error)) {
 	start := time.Now()
-	body, err := server.ReadBody(w, r, maxBodyBytes)
+	body, err := server.ReadBody(w, r, server.DefaultMaxRequestBytes)
 	if err != nil {
 		server.WriteError(w, co.metrics.requests, endpoint, http.StatusBadRequest, err.Error())
 		return
@@ -252,16 +222,14 @@ func (co *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request, endpo
 	}
 	ctx, cancel := server.RequestContext(r, req.TimeoutMs, solveTimeout, maxSolveTimeout)
 	defer cancel()
-	sol, err := co.Solve(ctx, req)
+	out, err := co.solve(ctx, endpoint, body, req, start)
 	co.metrics.solveLatency.With(endpoint).Observe(time.Since(start).Seconds())
 	if err != nil {
 		server.WriteError(w, co.metrics.requests, endpoint, server.StatusForSolve(err), err.Error())
 		return
 	}
-	resp, err := req.Response(sol, time.Since(start))
-	if err != nil {
-		server.WriteError(w, co.metrics.requests, endpoint, server.StatusForSolve(err), err.Error())
-		return
-	}
-	server.WriteJSON(w, co.metrics.requests, endpoint, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out)
+	co.metrics.requests.Inc(endpoint, "200")
 }

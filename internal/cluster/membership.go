@@ -10,11 +10,11 @@ import (
 // coordinator's lifetime with probe-governed liveness, dynamic members
 // self-register over POST /v1/cluster/register and stay only while their
 // heartbeat lease is renewed. A missed lease marks the worker dead and
-// removes it from the fleet (its shards re-home to the next rendezvous
+// removes it from the fleet (its structures re-home to the next rendezvous
 // rank on the very next solve); a graceful drain deregisters explicitly,
 // so SIGTERM'd workers leave without waiting out a lease. Every membership
 // or liveness change bumps ircluster_rebalances_total — rendezvous hashing
-// guarantees the change only re-homes the shards the departed (or
+// guarantees the change only re-homes the structures the departed (or
 // arrived) worker owns, so survivors keep their plan/arena affinity.
 
 // member returns the worker registered under name, or nil.
@@ -188,7 +188,7 @@ func (co *Coordinator) leaseLoop() {
 }
 
 // fleetChanged records a membership/liveness transition: placement is
-// re-ranked (rendezvous hashing moves only the affected worker's shards)
+// re-ranked (rendezvous hashing moves only the affected worker's structures)
 // and the members gauge refreshed.
 func (co *Coordinator) fleetChanged() {
 	co.metrics.rebalances.Inc()

@@ -8,18 +8,18 @@ import (
 // the coordinator's own Registry and rendered by GET /metrics in the same
 // hand-rolled exposition format irserved uses.
 type clusterMetrics struct {
-	shards       *server.Counter      // ircluster_shards_total
-	retries      *server.Counter      // ircluster_retries_total
-	hedges       *server.Counter      // ircluster_hedges_total
-	fallbacks    *server.Counter      // ircluster_local_fallbacks_total
-	workerUp     *server.GaugeVec     // ircluster_worker_up{worker}
-	members      *server.Gauge        // ircluster_members
-	rebalances   *server.Counter      // ircluster_rebalances_total
-	breakerState *server.GaugeVec     // ircluster_breaker_state{worker}
-	breakerOpens *server.Counter      // ircluster_breaker_opens_total
-	shardLatency *server.Histogram    // ircluster_shard_latency_seconds
-	requests     *server.CounterVec   // ircluster_requests_total{endpoint,code}
-	solveLatency *server.HistogramVec // ircluster_solve_seconds{endpoint}
+	forwards       *server.Counter      // ircluster_shards_total
+	retries        *server.Counter      // ircluster_retries_total
+	hedges         *server.Counter      // ircluster_hedges_total
+	fallbacks      *server.Counter      // ircluster_local_fallbacks_total
+	workerUp       *server.GaugeVec     // ircluster_worker_up{worker}
+	members        *server.Gauge        // ircluster_members
+	rebalances     *server.Counter      // ircluster_rebalances_total
+	breakerState   *server.GaugeVec     // ircluster_breaker_state{worker}
+	breakerOpens   *server.Counter      // ircluster_breaker_opens_total
+	forwardLatency *server.Histogram    // ircluster_shard_latency_seconds
+	requests       *server.CounterVec   // ircluster_requests_total{endpoint,code}
+	solveLatency   *server.HistogramVec // ircluster_solve_seconds{endpoint}
 
 	sessions       *server.Gauge   // ircluster_sessions
 	sessionRehomes *server.Counter // ircluster_session_rehomes_total
@@ -31,26 +31,26 @@ type clusterMetrics struct {
 func newClusterMetrics(reg *server.Registry) *clusterMetrics {
 	latencyBounds := []float64{.001, .005, .01, .05, .1, .5, 1, 5, 10, 30, 60}
 	return &clusterMetrics{
-		shards: reg.NewCounter("ircluster_shards_total",
-			"Shards scattered to workers (every attempt's first send; retries and hedges counted separately)."),
+		forwards: reg.NewCounter("ircluster_shards_total",
+			"Solves forwarded whole to a worker (each solve's first send; retries and hedges counted separately)."),
 		retries: reg.NewCounter("ircluster_retries_total",
-			"Shard attempts re-sent after a failure, including re-scatters off dead workers."),
+			"Forwarded solves re-sent to the next-ranked worker after a failure, including failovers off dead workers."),
 		hedges: reg.NewCounter("ircluster_hedges_total",
-			"Duplicate shard requests hedged onto a second worker for stragglers."),
+			"Duplicate solve requests hedged onto a second worker for stragglers."),
 		fallbacks: reg.NewCounter("ircluster_local_fallbacks_total",
-			"Solves executed locally because no worker was reachable or a scatter failed."),
+			"Solves executed locally because no worker was reachable or every forwarding attempt failed."),
 		workerUp: reg.NewGaugeVec("ircluster_worker_up",
 			"Worker liveness (1 = probe succeeded or heartbeat lease held).", "worker"),
 		members: reg.NewGauge("ircluster_members",
 			"Workers currently in the fleet view (static + lease-holding registered)."),
 		rebalances: reg.NewCounter("ircluster_rebalances_total",
-			"Membership or liveness changes that re-ranked rendezvous shard placement."),
+			"Membership or liveness changes that re-ranked rendezvous solve placement."),
 		breakerState: reg.NewGaugeVec("ircluster_breaker_state",
 			"Per-worker circuit-breaker state (0 = closed, 1 = half-open, 2 = open).", "worker"),
 		breakerOpens: reg.NewCounter("ircluster_breaker_opens_total",
 			"Circuit-breaker trips from closed or half-open to open."),
-		shardLatency: reg.NewHistogram("ircluster_shard_latency_seconds",
-			"Per-shard round-trip time, successful attempts.", latencyBounds),
+		forwardLatency: reg.NewHistogram("ircluster_shard_latency_seconds",
+			"Forwarded-solve round-trip time, successful attempts.", latencyBounds),
 		requests: reg.NewCounterVec("ircluster_requests_total",
 			"Coordinator HTTP responses by endpoint and status.", "endpoint", "code"),
 		solveLatency: reg.NewHistogramVec("ircluster_solve_seconds",

@@ -43,9 +43,10 @@ type answer struct {
 }
 
 // TestRoleParity sends every body to a lone irserved and to an ircoord
-// fronting it: both decode through the same server.Request pipeline, so
-// each answers with the same status and error code, and valid bodies with
-// identical values on the sparse fast path and under its kill switch.
+// fronting it: both decode through the same server.Request pipeline (and
+// session opens through the same DecodeSessionOpen), so each answers with
+// the same status and error code, and valid bodies with identical values
+// on the sparse fast path and under its kill switch.
 func TestRoleParity(t *testing.T) {
 	const maxN = 64
 	leak := checkGoroutines(t)
@@ -73,6 +74,10 @@ func TestRoleParity(t *testing.T) {
 			{"extended linear g out of range", "linear", `{"m":2,"g":[5],"f":[0],"a":[1],"b":[1],"x0":[1,1],"extended":true}`, http.StatusBadRequest},
 			{"non-finite x0", "linear", `{"m":2,"g":[1],"f":[0],"a":[1],"b":[1],"x0":[1,1e999]}`, http.StatusBadRequest},
 			{"grid rows x cols overflow", "grid2d", `{"system":{"rows":4294967296,"cols":4294967296,"north":[],"west":[]}}`, http.StatusBadRequest},
+			{"session open: unknown family", "session", `{"family":"nope"}`, http.StatusBadRequest},
+			{"session open: n > MaxN", "session", `{"family":"ordinary","system":{"m":2,"n":65,"g":[],"f":[]},"op":"int64-add","init":[1,2]}`, http.StatusBadRequest},
+			{"session open: wrong init length", "session", `{"family":"auto","system":{"m":3,"g":[1,2],"f":[0,1]},"op":"int64-add","init":[1]}`, http.StatusBadRequest},
+			{"9 MiB body", "ordinary", `{"system":{"m":4,"g":[1,2,3],"f":[0,1,2]},"op":"int64-add","init":[1,2,3,4]}` + strings.Repeat(" ", 9<<20), http.StatusBadRequest},
 			{"dense ordinary", "ordinary", `{"system":{"m":4,"g":[1,2,3],"f":[0,1,2]},"op":"int64-add","init":[1,2,3,4]}`, http.StatusOK},
 			{"sparse ordinary", "ordinary", `{"system":{"m":60,"g":[1,2],"f":[0,1],"cells":[5,17,59]},"op":"float64-add","init":[0.1,0.2,0.3]}`, http.StatusOK},
 			{"sparse general", "general", `{"system":{"m":60,"g":[1,2],"f":[0,1],"h":[0,0],"cells":[5,17,59]},"op":"mul-mod","mod":1000003,"init":[2,3,5]}`, http.StatusOK},
@@ -84,8 +89,12 @@ func TestRoleParity(t *testing.T) {
 			prev := ir.SetSparseEnabled(sparse)
 			for _, tc := range cases {
 				var got [2]answer
+				path := server.APIPrefix + tc.endpoint
+				if tc.endpoint == "session" {
+					path = server.SessionPrefix
+				}
 				for k, base := range []string{worker.URL, front.URL} {
-					code, data := postRaw(t, base+server.APIPrefix+tc.endpoint, tc.body)
+					code, data := postRaw(t, base+path, tc.body)
 					if code != tc.code {
 						t.Errorf("sparse=%v %s: role %d answered HTTP %d, want %d: %s", sparse, tc.name, k, code, tc.code, data)
 					}
@@ -115,8 +124,9 @@ func TestRoleParity(t *testing.T) {
 }
 
 // TestCoordinatorClampsProcs checks that a client's procs never reaches a
-// coordinator compile, a local-fallback solve or a worker above the
-// coordinator's Procs budget.
+// coordinator compile or a local-fallback solve above the coordinator's
+// Procs budget, and that the forwarded body is the client's own bytes, so
+// the worker clamps procs to its budget exactly as for a direct request.
 func TestCoordinatorClampsProcs(t *testing.T) {
 	leak := checkGoroutines(t)
 	func() {
@@ -131,16 +141,12 @@ func TestCoordinatorClampsProcs(t *testing.T) {
 			t.Fatalf("coordinator plan data procs = %d, want 2", got)
 		}
 
-		var forwarded atomic.Int64
-		forwarded.Store(-1)
+		var forwarded atomic.Pointer[[]byte]
 		peek := func(r *http.Request) bool {
-			if r.URL.Path == server.ShardPrefix+"solve" {
+			if isSolve(r) {
 				blob, _ := io.ReadAll(r.Body)
 				r.Body = io.NopCloser(bytes.NewReader(blob))
-				var sr server.ShardRequest
-				if json.Unmarshal(blob, &sr) == nil {
-					forwarded.Store(int64(sr.Opts.Procs))
-				}
+				forwarded.Store(&blob)
 			}
 			return true
 		}
@@ -150,8 +156,8 @@ func TestCoordinatorClampsProcs(t *testing.T) {
 		if code, data := postRaw(t, front.URL+server.APIPrefix+"ordinary", body); code != http.StatusOK {
 			t.Fatalf("HTTP %d: %s", code, data)
 		}
-		if got := forwarded.Load(); got != 2 {
-			t.Fatalf("forwarded ShardRequest procs = %d, want 2", got)
+		if got := forwarded.Load(); got == nil || string(*got) != body {
+			t.Fatalf("forwarded body %q, want the client's bytes verbatim", got)
 		}
 	}()
 	leak()
@@ -168,13 +174,14 @@ func (endless) Read(p []byte) (int, error) {
 }
 
 // TestCoordinatorBodyLimit checks that a body past the coordinator's
-// 64 MiB bound answers 400 "request body exceeds", not a truncated decode's
-// misleading JSON syntax error.
+// bound (server.DefaultMaxRequestBytes, irserved's default) answers 400
+// "request body exceeds", not a truncated decode's misleading JSON syntax
+// error.
 func TestCoordinatorBodyLimit(t *testing.T) {
 	co, _, down := newFleet(t, 0, nil)
 	defer down()
 	for _, path := range []string{server.APIPrefix + "ordinary", server.SessionPrefix} {
-		body := io.MultiReader(strings.NewReader(`{"op":"int64-add",`), io.LimitReader(endless{}, maxBodyBytes+1))
+		body := io.MultiReader(strings.NewReader(`{"op":"int64-add",`), io.LimitReader(endless{}, server.DefaultMaxRequestBytes+1))
 		rec := httptest.NewRecorder()
 		co.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
 		var e server.ErrorResponse

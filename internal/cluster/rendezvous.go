@@ -3,31 +3,29 @@ package cluster
 import (
 	"hash/fnv"
 	"sort"
-	"strconv"
 )
 
 // Rendezvous (highest-random-weight) hashing ranks the whole fleet for each
-// (plan fingerprint, shard index) key. The top-ranked live worker owns the
-// shard; on failure the next rank takes over, which doubles as the
-// re-scatter path for dead workers. Keying by fingerprint keeps a plan's
-// shards sticky — the same worker sees the same shard of the same plan
-// every request, so its fingerprint-keyed plan cache stays hot — while the
-// shard index spreads one plan's shards across the fleet instead of piling
-// them onto a single host.
+// plan fingerprint. The top-ranked live worker takes every solve of that
+// structure — and every session opened on it — so its fingerprint-keyed
+// plan cache stays hot; on failure the next rank takes over, which doubles
+// as the failover path for dead workers. Different structures hash
+// independently, which spreads the fleet's load across workers, and a
+// membership change moves only the structures that ranked the departed or
+// arrived worker first.
 
-// rankWorkers orders ws by descending rendezvous score for the key
-// (fingerprint, shard). The slice is freshly allocated; callers may consume
-// it destructively.
-func rankWorkers(ws []*worker, fingerprint string, shard int) []*worker {
+// rankWorkers orders ws by descending rendezvous score for fingerprint.
+// The slice is freshly allocated; callers may consume it destructively.
+func rankWorkers(ws []*worker, fingerprint string) []*worker {
 	type scored struct {
 		w *worker
 		s uint64
 	}
-	key := fingerprint + "#" + strconv.Itoa(shard) + "@"
+	key := []byte(fingerprint + "@")
 	ranked := make([]scored, len(ws))
 	for i, w := range ws {
 		h := fnv.New64a()
-		_, _ = h.Write([]byte(key))
+		_, _ = h.Write(key)
 		_, _ = h.Write([]byte(w.name))
 		ranked[i] = scored{w: w, s: h.Sum64()}
 	}

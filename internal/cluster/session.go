@@ -11,13 +11,14 @@ import (
 
 	"indexedrec/internal/server"
 	"indexedrec/internal/server/client"
-	"indexedrec/ir"
 )
 
 // Streaming sessions through the coordinator: the front-end speaks the same
-// /v1/session API as a single irserved, pins each session to one worker by
-// rendezvous rank on its plan fingerprint (so the worker holding the
-// session's arena also tends to hold its compiled plan), and keeps the open
+// /v1/session API as a single irserved, decodes each open through the same
+// server.Limits.DecodeSessionOpen irserved uses, pins the session to one
+// worker by rendezvous rank on its structure's Request.Fingerprint — the
+// key one-shot solves of that structure route by, so the worker holding the
+// session's arena also tends to hold its compiled plan — and keeps the open
 // request plus the ordered append log as the session's recovery snapshot.
 // When the pinned worker dies, sheds, or forgot the session (restart, idle
 // eviction), the coordinator re-homes the stream: it replays the open and
@@ -29,8 +30,8 @@ import (
 
 // streamEntry is the coordinator's record of one proxied session.
 type streamEntry struct {
-	// fp is the rendezvous pinning key: the opened structure's plan
-	// fingerprint.
+	// fp is the rendezvous pinning key: the opened structure's
+	// Request.Fingerprint.
 	fp string
 
 	// mu serializes appends (and re-homes) for this session, keeping the
@@ -38,7 +39,7 @@ type streamEntry struct {
 	mu       chan struct{} // 1-buffered; acquired by receive, released by send
 	w        *worker
 	remoteID string
-	open     server.SessionOpenRequest
+	open     []byte // the client's open body, replayed verbatim on re-home
 	log      []server.SessionAppendRequest
 }
 
@@ -47,40 +48,10 @@ func (e *streamEntry) unlock() { e.mu <- struct{}{} }
 
 // sessionRoutes mounts the session pass-through endpoints.
 func (co *Coordinator) sessionRoutes() {
-	co.handle("POST", server.SessionPrefix, co.handleSessionOpen)
-	co.handle("POST", server.SessionPrefix+"/{id}/append", co.handleSessionAppend)
-	co.handle("GET", server.SessionPrefix+"/{id}", co.handleSessionGet)
-	co.handle("DELETE", server.SessionPrefix+"/{id}", co.handleSessionDelete)
-}
-
-// sessionPinKey computes the open request's plan fingerprint — the same key
-// the shard scatter path uses, so a session lands on the worker whose plan
-// cache is already hot for its structure.
-func (co *Coordinator) sessionPinKey(req *server.SessionOpenRequest) (string, error) {
-	switch req.Family {
-	case "linear", "moebius":
-		return ir.PlanFingerprint(ir.FamilyMoebius, len(req.G), req.M, req.G, req.F, nil, 0), nil
-	}
-	sys, err := req.System.System()
-	if err != nil {
-		return "", err
-	}
-	fam := ir.FamilyGeneral
-	switch req.Family {
-	case "ordinary":
-		fam = ir.FamilyOrdinary
-	case "general":
-	case "auto", "":
-		if sys.Ordinary() && sys.GDistinct() {
-			fam = ir.FamilyOrdinary
-		}
-	default:
-		return "", fmt.Errorf("unknown family %q", req.Family)
-	}
-	if fam == ir.FamilyOrdinary {
-		return ir.PlanFingerprint(fam, sys.N, sys.M, sys.G, sys.F, nil, 0), nil
-	}
-	return ir.PlanFingerprint(fam, sys.N, sys.M, sys.G, sys.F, sys.H, co.cfg.MaxExponentBits), nil
+	co.mux.Handle("POST", server.SessionPrefix, co.handleSessionOpen)
+	co.mux.Handle("POST", server.SessionPrefix+"/{id}/append", co.handleSessionAppend)
+	co.mux.Handle("GET", server.SessionPrefix+"/{id}", co.handleSessionGet)
+	co.mux.Handle("DELETE", server.SessionPrefix+"/{id}", co.handleSessionDelete)
 }
 
 func newSessionID() (string, error) {
@@ -108,24 +79,24 @@ func (co *Coordinator) writeSessionErr(w http.ResponseWriter, endpoint string, e
 
 func (co *Coordinator) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "session_open"
-	body, err := server.ReadBody(w, r, maxBodyBytes)
+	body, err := server.ReadBody(w, r, server.DefaultMaxRequestBytes)
 	if err != nil {
 		server.WriteError(w, co.metrics.requests, endpoint, http.StatusBadRequest, err.Error())
 		return
 	}
-	var req server.SessionOpenRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		server.WriteError(w, co.metrics.requests, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	_, pr, err := co.limits.DecodeSessionOpen(body)
+	if err != nil {
+		server.WriteError(w, co.metrics.requests, endpoint, server.StatusForValidation(err), err.Error())
 		return
 	}
-	fp, err := co.sessionPinKey(&req)
+	fp, err := pr.Fingerprint()
 	if err != nil {
 		server.WriteError(w, co.metrics.requests, endpoint, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := server.RequestContext(r, req.Opts.TimeoutMs, solveTimeout, maxSolveTimeout)
+	ctx, cancel := server.RequestContext(r, pr.TimeoutMs, solveTimeout, maxSolveTimeout)
 	defer cancel()
-	ranked := rankWorkers(co.alive(), fp, 0)
+	ranked := rankWorkers(co.alive(), fp)
 	if len(ranked) == 0 {
 		server.WriteError(w, co.metrics.requests, endpoint, http.StatusServiceUnavailable, ErrNoWorkers.Error())
 		return
@@ -136,7 +107,7 @@ func (co *Coordinator) handleSessionOpen(w http.ResponseWriter, r *http.Request)
 		if !ok {
 			continue
 		}
-		resp, err := wk.client.OpenSession(ctx, req)
+		resp, err := openSession(ctx, wk, body)
 		if err == nil {
 			settle(outcomeSuccess)
 			id, err := newSessionID()
@@ -146,7 +117,7 @@ func (co *Coordinator) handleSessionOpen(w http.ResponseWriter, r *http.Request)
 			}
 			e := &streamEntry{
 				fp: fp, mu: make(chan struct{}, 1),
-				w: wk, remoteID: resp.ID, open: req,
+				w: wk, remoteID: resp.ID, open: body,
 			}
 			e.unlock()
 			co.smu.Lock()
@@ -172,6 +143,19 @@ func (co *Coordinator) handleSessionOpen(w http.ResponseWriter, r *http.Request)
 	co.writeSessionErr(w, endpoint, lastErr)
 }
 
+// openSession posts an open body verbatim to wk's /v1/session.
+func openSession(ctx context.Context, wk *worker, body []byte) (*server.SessionOpenResponse, error) {
+	out, err := wk.client.Post(ctx, server.SessionPrefix, body)
+	if err != nil {
+		return nil, err
+	}
+	var resp server.SessionOpenResponse
+	if err := json.Unmarshal(out, &resp); err != nil {
+		return nil, fmt.Errorf("ircluster: decoding session open response: %w", err)
+	}
+	return &resp, nil
+}
+
 // entry looks up a proxied session by its public ID.
 func (co *Coordinator) entry(id string) *streamEntry {
 	co.smu.Lock()
@@ -186,7 +170,7 @@ func (co *Coordinator) entry(id string) *streamEntry {
 func (co *Coordinator) rehome(ctx context.Context, e *streamEntry, skip *worker) error {
 	var lastErr error
 candidates:
-	for _, wk := range rankWorkers(co.alive(), e.fp, 0) {
+	for _, wk := range rankWorkers(co.alive(), e.fp) {
 		if wk == skip {
 			continue
 		}
@@ -194,7 +178,7 @@ candidates:
 		if !ok {
 			continue
 		}
-		resp, err := wk.client.OpenSession(ctx, e.open)
+		resp, err := openSession(ctx, wk, e.open)
 		if err != nil {
 			settle(outcomeFailure)
 			co.noteFailure(wk, err)
@@ -235,7 +219,7 @@ func (co *Coordinator) handleSessionAppend(w http.ResponseWriter, r *http.Reques
 		server.WriteError(w, co.metrics.requests, endpoint, http.StatusNotFound, fmt.Sprintf("unknown session %q", r.PathValue("id")))
 		return
 	}
-	body, err := server.ReadBody(w, r, maxBodyBytes)
+	body, err := server.ReadBody(w, r, server.DefaultMaxRequestBytes)
 	if err != nil {
 		server.WriteError(w, co.metrics.requests, endpoint, http.StatusBadRequest, err.Error())
 		return

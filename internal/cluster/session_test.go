@@ -9,6 +9,7 @@ import (
 
 	"indexedrec/internal/server"
 	"indexedrec/internal/server/client"
+	"indexedrec/ir"
 )
 
 // openChain starts a linear streaming session X[i+1] = X[i] + 1 from
@@ -77,6 +78,12 @@ func TestClusterSessionRehomeOnWorkerDeath(t *testing.T) {
 	}
 
 	e, tw := pinnedWorker(t, co, workers, open.ID)
+	// The session is pinned where a one-shot solve of its structure
+	// routes: both key on the same Request.Fingerprint.
+	solve := specFor(ir.FamilyMoebius, nil, 64, []int{1, 2}, []int{0, 1}, ir.PlanData{})
+	if want := routedTo(t, co, workers, solve); tw != want {
+		t.Fatalf("session pinned to %s, solves of its structure route to %s", tw.ts.URL, want.ts.URL)
+	}
 	before := e.w.name
 	dead := func(r *http.Request) bool { return false }
 	tw.intercept.Store(&dead)

@@ -57,7 +57,7 @@ func sparseClusterReq(t *testing.T, m, n, bands int) (*ir.SparseSystem, server.O
 // TestClusterSparseScatter drives a sparse solve through the coordinator
 // front-end over a live fleet: the global array (50M cells) is over 10x the
 // coordinator's dense limit, so only the compact encoding can carry it, and
-// the scattered answer must match the local compact solve bit-for-bit.
+// the forwarded answer must match the local compact solve bit-for-bit.
 func TestClusterSparseScatter(t *testing.T) {
 	leak := checkGoroutines(t)
 	func() {
@@ -88,8 +88,8 @@ func TestClusterSparseScatter(t *testing.T) {
 					i, out.ValuesInt[i], out.Cells[i], want.Values[i], sp.Cells[i])
 			}
 		}
-		if co.metrics.shards.Value() == 0 {
-			t.Fatal("sparse solve never scattered")
+		if co.metrics.forwards.Value() == 0 {
+			t.Fatal("sparse solve never forwarded")
 		}
 		if co.metrics.fallbacks.Value() != 0 {
 			t.Fatalf("%d local fallbacks in a healthy fleet", co.metrics.fallbacks.Value())

@@ -1,12 +1,8 @@
 package ordinary
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
-
-	"indexedrec/internal/core"
-	"indexedrec/internal/parallel"
 )
 
 // This file implements the work-optimal blocked-scan schedule for ordinary
@@ -69,8 +65,7 @@ func blockedEnabled() bool { return !blockedDisabled.Load() }
 type blockedSched struct {
 	// cellSeq lists every written cell in chain-major order, each chain
 	// terminal → head — i.e. the order the sequential loop's fold consumes
-	// the chain's values. Chains are ordered by ascending terminal cell,
-	// matching Plan.ChainOf's chain numbering.
+	// the chain's values. Chains are ordered by ascending terminal cell.
 	cellSeq []int32
 	// chainOff[c] : chainOff[c+1] bound chain c within cellSeq.
 	chainOff []int32
@@ -137,8 +132,7 @@ func buildBlocked(fr *Forest, m int, force bool) (*blockedSched, error) {
 		chainOff: []int32{0},
 	}
 	maxLen := 0
-	// Terminals in ascending cell order give the same chain numbering as
-	// Plan.ChainOf (chains sorted by terminal root cell).
+	// Chains are numbered by ascending terminal cell.
 	for t := 0; t < m; t++ {
 		if !fr.Written[t] || fr.Next[t] >= 0 {
 			continue
@@ -195,119 +189,4 @@ func buildBlocked(fr *Forest, m int, force bool) (*blockedSched, error) {
 		}
 	}
 	return b, nil
-}
-
-// solveBlockedMember is SolvePlanMemberCtx's blocked-schedule path: the
-// member set (closed under Next) intersects every chain in a terminal-side
-// prefix of its cellSeq order, so the replay runs the three phases over the
-// member prefixes only. Every tree prefix a member segment consumes comes
-// from a fully-member segment (prefix property), so member cells' combines
-// see exactly the operands of the full blocked replay — bit-identical — and
-// non-member cells keep their init values.
-func solveBlockedMember[T any](ctx context.Context, p *Plan, op core.Semigroup[T], init []T, member []bool, opt Options) ([]T, error) {
-	b := p.blocked
-	kern := kernelFor(op)
-	v := make([]T, p.M)
-	copy(v, init)
-
-	numChains := len(b.chainOff) - 1
-	memEnd := make([]int32, numChains)
-	if err := parallel.ForEachCtx(ctx, numChains, opt.Procs, func(c int) error {
-		k, end := b.chainOff[c], b.chainOff[c+1]
-		for k < end && member[b.cellSeq[k]] {
-			k++
-		}
-		memEnd[c] = k
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Active segments: those whose start lies inside the member prefix. A
-	// clamped last segment may be partial; all earlier ones are full.
-	active := make([]int32, 0, b.numSegs())
-	for s := 0; s < b.numSegs(); s++ {
-		if b.segOff[s] < memEnd[b.segChain[s]] {
-			active = append(active, int32(s))
-		}
-	}
-	if len(active) == 0 {
-		return v, nil
-	}
-	segEnd := func(s int) int {
-		return int(min(b.segOff[s+1], memEnd[b.segChain[s]]))
-	}
-
-	sum := make([]T, b.numSegs())
-	sum2 := make([]T, b.numSegs())
-	if err := parallel.ForCtxWeighted(ctx, len(active), opt.Procs, blockedSegLen, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			s := int(active[i])
-			cLo, cHi := int(b.segOff[s]), segEnd(s)
-			var acc T
-			if int(b.segFirst[s]) == s {
-				acc = init[b.rootOf[b.segChain[s]]]
-			} else {
-				acc = init[b.cellSeq[cLo]]
-				cLo++
-			}
-			if kern != nil {
-				acc = kern.FoldSeg(acc, init, b.cellSeq, cLo, cHi)
-			} else {
-				for k := cLo; k < cHi; k++ {
-					acc = op.Combine(acc, init[b.cellSeq[k]])
-				}
-			}
-			sum[s] = acc
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	for d := 1; d < b.maxSegs; d *= 2 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := parallel.ForCtx(ctx, len(active), opt.Procs, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				s := int(active[i])
-				if s-d >= int(b.segFirst[s]) {
-					sum2[s] = op.Combine(sum[s-d], sum[s])
-				} else {
-					sum2[s] = sum[s]
-				}
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		sum, sum2 = sum2, sum
-	}
-
-	if err := parallel.ForCtxWeighted(ctx, len(active), opt.Procs, blockedSegLen, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			s := int(active[i])
-			cLo, cHi := int(b.segOff[s]), segEnd(s)
-			var acc T
-			if int(b.segFirst[s]) == s {
-				acc = init[b.rootOf[b.segChain[s]]]
-			} else {
-				acc = sum[s-1]
-			}
-			if kern != nil {
-				kern.ScanSeg(v, acc, init, b.cellSeq, cLo, cHi)
-			} else {
-				for k := cLo; k < cHi; k++ {
-					x := b.cellSeq[k]
-					acc = op.Combine(acc, init[x])
-					v[x] = acc
-				}
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return v, nil
 }

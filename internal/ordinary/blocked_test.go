@@ -313,85 +313,6 @@ func TestBlockedPrimedReplay(t *testing.T) {
 	}
 }
 
-func TestBlockedMemberChains(t *testing.T) {
-	ctx := context.Background()
-	s := multiChain(4, 300)
-	init := stringInit(s.M)
-	p, err := CompilePlan(ctx, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.BlockedScan() {
-		t.Fatal("expected blocked schedule")
-	}
-	full, err := SolvePlanCtx[string](ctx, p, core.Concat{}, init, Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every contiguous chain range must reproduce the full solve on its
-	// cells and leave the rest at init.
-	for lo := 0; lo <= p.NumChains(); lo++ {
-		for hi := lo; hi <= p.NumChains(); hi++ {
-			member, err := p.MemberForChains(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v, err := SolvePlanMemberCtx[string](ctx, p, core.Concat{}, init, member, Options{Procs: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for x := range v {
-				want := init[x]
-				if member[x] {
-					want = full.Values[x]
-				}
-				if v[x] != want {
-					t.Fatalf("chains [%d,%d) cell %d: got %q, want %q", lo, hi, x, v[x], want)
-				}
-			}
-		}
-	}
-	// The shard entry point agrees too.
-	sr, err := SolvePlanChainsCtx[string](ctx, p, core.Concat{}, init, 1, 3, Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, x := range sr.Cells {
-		if sr.Values[k] != full.Values[x] {
-			t.Fatalf("shard cell %d: got %q, want %q", x, sr.Values[k], full.Values[x])
-		}
-	}
-}
-
-func TestBlockedMemberKillSwitchAgrees(t *testing.T) {
-	ctx := context.Background()
-	s := multiChain(3, 400)
-	init := stringInit(s.M)
-	p, err := CompilePlan(ctx, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	member, err := p.MemberForChains(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := SolvePlanMemberCtx[string](ctx, p, core.Concat{}, init, member, Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := SetBlockedEnabled(false)
-	off, err := SolvePlanMemberCtx[string](ctx, p, core.Concat{}, init, member, Options{Procs: 4})
-	SetBlockedEnabled(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := range on {
-		if on[x] != off[x] {
-			t.Fatalf("cell %d: blocked member %q, jumping member %q", x, on[x], off[x])
-		}
-	}
-}
-
 func TestBlockedCancellation(t *testing.T) {
 	s := multiChain(1, 2000)
 	p, err := CompilePlan(context.Background(), s)

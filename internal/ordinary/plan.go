@@ -88,14 +88,6 @@ type Plan struct {
 	// any; a type mismatch (same plan replayed under two element types)
 	// just drops the entry.
 	arenas sync.Pool
-
-	// Chain decomposition (shard.go), computed lazily on first use: chainOf
-	// maps each written cell to its chain id (-1 for unwritten cells), and
-	// chainSizes[c] counts the cells of chain c. Chains are the connected
-	// components of the write-chain forest — the natural distribution unit.
-	chainsOnce sync.Once
-	chainOf    []int32
-	chainSizes []int
 }
 
 // Schedule selects the combine schedule CompilePlanOpts records.

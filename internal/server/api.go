@@ -135,65 +135,13 @@ type LoopResponse struct {
 	ElapsedMs float64              `json:"elapsed_ms"`
 }
 
-// ShardPrefix is the worker-role API prefix: coordinators scatter compiled
-// plan slices to POST /v1/shard/solve.
+// ShardPrefix is the retired worker-role prefix: coordinators once cut
+// solves into shards and posted them to /v1/shard/solve. No route is served
+// under it any more — ircoord forwards each solve whole to a worker's own
+// /v1/solve/{family} — so irserved answers it with the JSON 404 every
+// unknown path gets. The name stays for tools that still recognise the old
+// path.
 const ShardPrefix = "/v1/shard/"
-
-// ShardWire is the JSON form of an ir.Shard.
-type ShardWire struct {
-	// Lo and Hi bound the half-open slice of the plan's shard domain
-	// (chains for the ordinary family, cells otherwise).
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-}
-
-// ShardRequest is the body of POST /v1/shard/solve: the system's structure
-// (so the worker can compile or cache-load the plan by fingerprint), one
-// shard of its domain, and the full PlanData the plan replays against.
-// The Möbius family posts its coefficients in A..D/X0 and leaves Op/Init
-// empty; ordinary and general post Op/Mod/Init and leave the arrays empty.
-type ShardRequest struct {
-	// Family names the solver family: "ordinary", "general", "moebius" or
-	// "grid2d".
-	Family string `json:"family"`
-	// System carries the index maps; the Möbius family uses M, G, F with
-	// H absent.
-	System ir.SystemWire `json:"system"`
-	// Shard is the slice of the plan's shard domain to execute.
-	Shard ShardWire `json:"shard"`
-	// Op, Mod and Init feed ordinary/general replays (see OrdinaryRequest).
-	Op   string          `json:"op,omitempty"`
-	Mod  int64           `json:"mod,omitempty"`
-	Init json.RawMessage `json:"init,omitempty"`
-	// A, B, C, D and X0 feed Möbius replays (nil C, D = the affine form).
-	A  []float64 `json:"a,omitempty"`
-	B  []float64 `json:"b,omitempty"`
-	C  []float64 `json:"c,omitempty"`
-	D  []float64 `json:"d,omitempty"`
-	X0 []float64 `json:"x0,omitempty"`
-	// Grid feeds grid2d replays: a contiguous row band of the full grid
-	// with its halo boundaries already folded into North/West/NorthWest;
-	// Shard records the band's [lo, hi) row range in the original grid and
-	// System is ignored.
-	Grid *ir.Grid2DSystem `json:"grid,omitempty"`
-	// Opts carries procs/deadline/exponent options as elsewhere.
-	Opts ir.OptionsWire `json:"opts,omitempty"`
-}
-
-// ShardResponse mirrors ir.ShardSolution on the wire, plus timing.
-type ShardResponse struct {
-	// Shard echoes the executed slice.
-	Shard ShardWire `json:"shard"`
-	// Cells lists a sparse (ordinary) shard's owned cells, ascending.
-	Cells []int `json:"cells,omitempty"`
-	// ValuesInt / ValuesFloat / Values carry the slice values; exactly one
-	// is set, as in ir.ShardSolution.
-	ValuesInt   []int64   `json:"values_int,omitempty"`
-	ValuesFloat []float64 `json:"values_float,omitempty"`
-	Values      []float64 `json:"values,omitempty"`
-	// ElapsedMs is the worker-side solve time.
-	ElapsedMs float64 `json:"elapsed_ms"`
-}
 
 // ClusterPrefix is the coordinator's membership API prefix: workers
 // self-register at POST /v1/cluster/register, renew their lease at POST

@@ -63,17 +63,56 @@ func (e *APIError) IsShed() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
 }
 
+// maxResponseBytes bounds how much of a response body the client reads.
+const maxResponseBytes = 64 << 20
+
 // do posts req as JSON to path and decodes the response into out.
 func (c *Client) do(ctx context.Context, path string, reqBody, out any) error {
-	payload, err := json.Marshal(reqBody)
-	if err != nil {
-		return fmt.Errorf("irserved client: encoding request: %w", err)
+	return c.doMethod(ctx, http.MethodPost, path, reqBody, out)
+}
+
+// doMethod is do generalized over the HTTP method; DELETE and GET session
+// calls need it. A nil reqBody sends no payload; a nil out discards the
+// response body (2xx only).
+func (c *Client) doMethod(ctx context.Context, method, path string, reqBody, out any) error {
+	var payload []byte
+	if reqBody != nil {
+		var err error
+		if payload, err = json.Marshal(reqBody); err != nil {
+			return fmt.Errorf("irserved client: encoding request: %w", err)
+		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(payload))
-	if err != nil {
+	body, err := c.send(ctx, method, path, payload)
+	if err != nil || out == nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("irserved client: decoding response: %w", err)
+	}
+	return nil
+}
+
+// Post sends payload verbatim as a JSON POST to path and returns the raw
+// body of a 2xx response; any other status is an *APIError.
+func (c *Client) Post(ctx context.Context, path string, payload []byte) ([]byte, error) {
+	return c.send(ctx, http.MethodPost, path, payload)
+}
+
+// send issues one request (no body when payload is nil) and returns the raw
+// body of a 2xx response. A non-2xx status is an *APIError, and a response
+// larger than maxResponseBytes an error, never a truncated body.
+func (c *Client) send(ctx context.Context, method, path string, payload []byte) ([]byte, error) {
+	var rd io.Reader
+	if payload != nil {
+		rd = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	if c.Tenant != "" {
 		req.Header.Set(server.TenantHeader, c.Tenant)
 	}
@@ -82,12 +121,15 @@ func (c *Client) do(ctx context.Context, path string, reqBody, out any) error {
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
-		return fmt.Errorf("irserved client: reading response: %w", err)
+		return nil, fmt.Errorf("irserved client: reading response: %w", err)
+	}
+	if len(body) > maxResponseBytes {
+		return nil, fmt.Errorf("irserved client: response exceeds %d bytes", maxResponseBytes)
 	}
 	if resp.StatusCode/100 != 2 {
 		apiErr := &APIError{Status: resp.StatusCode}
@@ -100,15 +142,9 @@ func (c *Client) do(ctx context.Context, path string, reqBody, out any) error {
 		} else {
 			apiErr.Message = string(body)
 		}
-		return apiErr
+		return nil, apiErr
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("irserved client: decoding response: %w", err)
-	}
-	return nil
+	return body, nil
 }
 
 // SolveOrdinary solves an ordinary system on the server.
@@ -179,7 +215,7 @@ func (c *Client) get(ctx context.Context, path string) (int, string, error) {
 		return 0, "", err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	return resp.StatusCode, string(body), err
 }
 

@@ -10,11 +10,11 @@ import (
 	"indexedrec/internal/server"
 )
 
-// Connection reuse. A coordinator fires many small shard requests at the
-// same few workers; the stdlib default of two idle connections per host
-// forces most of them through fresh TCP handshakes under fan-out. One
-// shared transport with a deeper idle pool keeps the scatter path on warm
-// connections without every caller tuning http.Transport by hand.
+// Connection reuse. A coordinator forwards every solve to the same few
+// workers; the stdlib default of two idle connections per host forces
+// concurrent solves through fresh TCP handshakes. One shared transport with
+// a deeper idle pool keeps the forwarding path on warm connections without
+// every caller tuning http.Transport by hand.
 
 // SharedTransport returns the process-wide HTTP transport for irserved
 // clients: keep-alives on, a per-host idle pool sized for coordinator
@@ -49,16 +49,6 @@ func NewPooled(base string, timeout time.Duration) *Client {
 		Base: base,
 		HTTP: &http.Client{Transport: SharedTransport(), Timeout: timeout},
 	}
-}
-
-// SolveShard executes one shard of a plan on a worker (the worker role's
-// POST /v1/shard/solve).
-func (c *Client) SolveShard(ctx context.Context, req server.ShardRequest) (*server.ShardResponse, error) {
-	var out server.ShardResponse
-	if err := c.do(ctx, server.ShardPrefix+"solve", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // Version fetches the server's build identification (GET /version).

@@ -15,9 +15,10 @@
 // Request; every family and encoding then runs the same pipeline (see
 // request.go): Request.Plan resolves the compiled plan through the plan
 // cache (see plancache.go), the plan replays the request's data, and
-// Request.Response shapes the reply. The shard endpoint (shard.go) and the
-// internal/cluster coordinator run the same pipeline, ending in a shard
-// replay or a scatter respectively. Workers execute solves under the
+// Request.Response shapes the reply. The internal/cluster coordinator
+// decodes through the same Limits, routes the raw body whole to one worker
+// by Request.Fingerprint, and runs the same pipeline itself only when no
+// worker answers. Workers execute solves under the
 // request's context, so deadlines and client disconnects abandon work
 // promptly. Möbius-family requests pass through the coalescer, which holds
 // the first request of a batch up to BatchWindow waiting for companions and

@@ -16,10 +16,12 @@ import (
 // A wire body decodes (under a role's Limits) into one Request — the paper's
 // split of a solve into structure (g, f, h, compiled once into a plan) and
 // data (op and init, replayed) — whatever its family or encoding. irserved
-// replays the plan whole, the shard endpoint replays one shard of it, and
-// ircoord scatters it; all three resolve the plan through Request.Plan and
-// shape the answer through Request.Response, so a body means the same thing
-// to every role.
+// replays the plan; ircoord decodes the same body (so an invalid one gets
+// the same answer from both roles), routes it whole to a worker by
+// Request.Fingerprint, and only replays the plan itself when no worker
+// answers. Both roles resolve the plan through Request.Plan and shape the
+// answer through Request.Response, so a body means the same thing to every
+// role.
 
 // Limits are the bounds a role applies while decoding a request. MaxN
 // bounds iterations, touched cells and grid cells; Procs is the per-solve
@@ -90,14 +92,20 @@ func (l Limits) request(fam ir.Family, ow ir.OptionsWire) (*Request, error) {
 	opt.Procs = l.clampProcs(opt.Procs)
 	r := &Request{Family: fam, TimeoutMs: ow.TimeoutMs}
 	if fam == ir.FamilyGeneral {
-		r.Bits = l.MaxExponentBits
-		if b := ow.MaxExponentBits; b > 0 && b < r.Bits {
-			r.Bits = b
-		}
+		r.Bits = l.exponentBits(ow)
 		opt.MaxExponentBits = r.Bits
 	}
 	r.Data.Opts = opt
 	return r, nil
+}
+
+// exponentBits resolves a general solve's MaxExponentBits: the client's
+// value when it lowers the role's cap, the cap otherwise.
+func (l Limits) exponentBits(ow ir.OptionsWire) int {
+	if b := ow.MaxExponentBits; b > 0 && b < l.MaxExponentBits {
+		return b
+	}
+	return l.MaxExponentBits
 }
 
 // DecodeOrdinary decodes a POST /v1/solve/ordinary body. A sparse-encoded
@@ -156,48 +164,6 @@ func (l Limits) DecodeGrid2D(body []byte) (*Request, error) {
 		return nil, err
 	}
 	return l.grid(&w.System, w.Opts)
-}
-
-// DecodeShard decodes a POST /v1/shard/solve body into the request it is a
-// shard of, plus the shard itself. A sparse system always stays compact:
-// the coordinator settles sparse-versus-dense before it scatters, so the
-// kill switch gates the scatter, not the worker. A grid2d shard is a
-// self-contained row band whose halo rides in its North/NorthWest
-// boundaries; Shard only records the band's rows in the original grid.
-func (l Limits) DecodeShard(body []byte) (*Request, ir.Shard, error) {
-	var w ShardRequest
-	if err := unmarshal(body, &w); err != nil {
-		return nil, ir.Shard{}, err
-	}
-	fam, err := ir.FamilyByName(w.Family)
-	if err != nil {
-		return nil, ir.Shard{}, err
-	}
-	sh := ir.Shard{Lo: w.Shard.Lo, Hi: w.Shard.Hi}
-	if sh.Lo < 0 || sh.Hi < sh.Lo {
-		return nil, sh, fmt.Errorf("%w: [%d, %d)", ir.ErrShard, sh.Lo, sh.Hi)
-	}
-	var r *Request
-	switch fam {
-	case ir.FamilyMoebius:
-		s := w.System
-		ms := &moebius.MoebiusSystem{M: s.M, G: s.G, F: s.F, A: w.A, B: w.B, C: w.C, D: w.D}
-		if w.C == nil && w.D == nil { // the affine form
-			ms = moebius.NewLinear(s.M, s.G, s.F, w.A, w.B)
-		}
-		r, err = l.moebius(ms, w.X0, w.Opts, false)
-	case ir.FamilyGrid2D:
-		r, err = l.grid(w.Grid, w.Opts)
-		if err == nil && sh.Hi-sh.Lo != w.Grid.Rows {
-			err = fmt.Errorf("%w: band [%d, %d) carries %d rows", ir.ErrShard, sh.Lo, sh.Hi, w.Grid.Rows)
-		}
-	default:
-		r, err = l.system(fam, w.System, w.Op, w.Mod, w.Init, w.Opts, false)
-	}
-	if err != nil {
-		return nil, sh, err
-	}
-	return r, sh, nil
 }
 
 // system decodes an ordinary/general structure (dense or sparse) with its
@@ -343,38 +309,46 @@ func (r *Request) moebiusSystem() *moebius.MoebiusSystem {
 	return &moebius.MoebiusSystem{M: r.M, G: r.G, F: r.F, A: d.A, B: d.B, C: d.C, D: d.D}
 }
 
-// Plan resolves the request's compiled plan through c (nil compiles every
-// time), keyed by the fingerprint of its family and encoding: dense,
-// sparse, Möbius or grid.
-func (r *Request) Plan(ctx context.Context, c *PlanCache) (*ir.Plan, error) {
-	var fp string
-	var compile func(context.Context) (*ir.Plan, error)
-	copt := ir.CompileOptions{Family: r.Family, Procs: r.Data.Opts.Procs, MaxExponentBits: r.Bits}
+// Fingerprint returns the key of the request's compiled plan, by family
+// and encoding: dense, sparse, Möbius or grid. It keys the plan cache and
+// ircoord's routing of the solve (and of a session opened on the same
+// structure).
+func (r *Request) Fingerprint() (string, error) {
 	switch {
 	case r.Family == ir.FamilyMoebius:
-		fp = ir.PlanFingerprint(ir.FamilyMoebius, len(r.G), r.M, r.G, r.F, nil, 0)
-		compile = func(ctx context.Context) (*ir.Plan, error) { return ir.CompileMoebiusCtx(ctx, r.M, r.G, r.F) }
+		return ir.PlanFingerprint(ir.FamilyMoebius, len(r.G), r.M, r.G, r.F, nil, 0), nil
 	case r.Family == ir.FamilyGrid2D:
-		var err error
-		if fp, err = ir.Grid2DFingerprint(r.Grid); err != nil {
-			return nil, err
-		}
-		compile = func(ctx context.Context) (*ir.Plan, error) { return ir.CompileGrid2DCtx(ctx, r.Grid) }
+		return ir.Grid2DFingerprint(r.Grid)
 	case r.Sparse != nil:
-		// One fingerprint for every shard of a sparse solve, so rendezvous
-		// plan affinity warms workers exactly as for dense scatters.
-		fp = ir.SparseFingerprint(r.Family, r.Sparse, r.Bits)
-		compile = func(ctx context.Context) (*ir.Plan, error) { return ir.CompileSparseCtx(ctx, r.Sparse, copt) }
-	default:
-		// Keyed exactly as CompileCtx fingerprints: ordinary plans ignore H.
-		s, h := r.System, r.System.H
-		if r.Family == ir.FamilyOrdinary {
-			h = nil
-		}
-		fp = ir.PlanFingerprint(r.Family, s.N, s.M, s.G, s.F, h, r.Bits)
-		compile = func(ctx context.Context) (*ir.Plan, error) { return ir.CompileCtx(ctx, s, copt) }
+		return ir.SparseFingerprint(r.Family, r.Sparse, r.Bits), nil
 	}
-	return PlanFor(c, ctx, fp, compile)
+	// Keyed exactly as CompileCtx fingerprints: ordinary plans ignore H.
+	s, h := r.System, r.System.H
+	if r.Family == ir.FamilyOrdinary {
+		h = nil
+	}
+	return ir.PlanFingerprint(r.Family, s.N, s.M, s.G, s.F, h, r.Bits), nil
+}
+
+// Plan resolves the request's compiled plan through c (nil compiles every
+// time), keyed by Fingerprint.
+func (r *Request) Plan(ctx context.Context, c *PlanCache) (*ir.Plan, error) {
+	fp, err := r.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
+	copt := ir.CompileOptions{Family: r.Family, Procs: r.Data.Opts.Procs, MaxExponentBits: r.Bits}
+	return PlanFor(c, ctx, fp, func(ctx context.Context) (*ir.Plan, error) {
+		switch {
+		case r.Family == ir.FamilyMoebius:
+			return ir.CompileMoebiusCtx(ctx, r.M, r.G, r.F)
+		case r.Family == ir.FamilyGrid2D:
+			return ir.CompileGrid2DCtx(ctx, r.Grid)
+		case r.Sparse != nil:
+			return ir.CompileSparseCtx(ctx, r.Sparse, copt)
+		}
+		return ir.CompileCtx(ctx, r.System, copt)
+	})
 }
 
 // Response shapes a whole-plan solution of the request into its endpoint's

@@ -19,6 +19,12 @@ import (
 	"indexedrec/ir"
 )
 
+// DefaultMaxRequestBytes (8 MiB) is the request-body bound irserved applies
+// unless Config.MaxRequestBytes overrides it, and the one ircoord always
+// applies: a body the coordinator accepts is never refused as too large by
+// a default worker.
+const DefaultMaxRequestBytes = 8 << 20
+
 // Config tunes the service; zero values select production defaults.
 type Config struct {
 	// Addr is the listen address for ListenAndServe (default ":8080").
@@ -46,8 +52,9 @@ type Config struct {
 	MaxTimeout     time.Duration
 	// RetryAfter is the hint returned with 429/503 responses (default 1s).
 	RetryAfter time.Duration
-	// MaxRequestBytes bounds request bodies (default 8 MiB); MaxN bounds
-	// iterations per request (default 4,194,304).
+	// MaxRequestBytes bounds request bodies (default
+	// DefaultMaxRequestBytes); MaxN bounds iterations per request (default
+	// 4,194,304).
 	MaxRequestBytes int64
 	MaxN            int
 	// MaxExponentBits caps CAP trace-exponent growth for general solves
@@ -106,7 +113,7 @@ func (c *Config) setDefaults() {
 		c.RetryAfter = time.Second
 	}
 	if c.MaxRequestBytes <= 0 {
-		c.MaxRequestBytes = 8 << 20
+		c.MaxRequestBytes = DefaultMaxRequestBytes
 	}
 	if c.MaxN <= 0 {
 		c.MaxN = 4 << 20
@@ -228,7 +235,7 @@ type Server struct {
 	sessions      *session.Store
 	sessionOpen   atomic.Int64
 	sessionClosed atomic.Int64
-	mux           *http.ServeMux
+	mux           *Router
 	lifetime      context.Context
 	cancel        context.CancelFunc
 	draining      atomic.Bool
@@ -284,38 +291,36 @@ func New(cfg Config) *Server {
 			}
 		}
 	})
-	s.mux = http.NewServeMux()
+	s.mux = NewRouter()
 	s.routes()
 	return s
 }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST "+APIPrefix+"ordinary", func(w http.ResponseWriter, r *http.Request) {
+	s.mux.Handle("GET", "/healthz", s.handleHealthz)
+	s.mux.Handle("GET", "/readyz", s.handleReadyz)
+	s.mux.Handle("GET", "/metrics", s.handleMetrics)
+	s.mux.Handle("POST", APIPrefix+"ordinary", func(w http.ResponseWriter, r *http.Request) {
 		s.handleSolve(w, r, "ordinary", s.solve(s.limits.DecodeOrdinary))
 	})
-	s.mux.HandleFunc("POST "+APIPrefix+"general", func(w http.ResponseWriter, r *http.Request) {
+	s.mux.Handle("POST", APIPrefix+"general", func(w http.ResponseWriter, r *http.Request) {
 		s.handleSolve(w, r, "general", s.solve(s.limits.DecodeGeneral))
 	})
-	s.mux.HandleFunc("POST "+APIPrefix+"linear", func(w http.ResponseWriter, r *http.Request) {
+	s.mux.Handle("POST", APIPrefix+"linear", func(w http.ResponseWriter, r *http.Request) {
 		s.handleCoalesced(w, r, "linear", s.limits.DecodeLinear)
 	})
-	s.mux.HandleFunc("POST "+APIPrefix+"moebius", func(w http.ResponseWriter, r *http.Request) {
+	s.mux.Handle("POST", APIPrefix+"moebius", func(w http.ResponseWriter, r *http.Request) {
 		s.handleCoalesced(w, r, "moebius", s.limits.DecodeMoebius)
 	})
-	s.mux.HandleFunc("POST "+APIPrefix+"grid2d", func(w http.ResponseWriter, r *http.Request) {
+	s.mux.Handle("POST", APIPrefix+"grid2d", func(w http.ResponseWriter, r *http.Request) {
 		s.handleSolve(w, r, "grid2d", s.solve(s.limits.DecodeGrid2D))
 	})
-	s.mux.HandleFunc("POST "+APIPrefix+"loop", func(w http.ResponseWriter, r *http.Request) {
+	s.mux.Handle("POST", APIPrefix+"loop", func(w http.ResponseWriter, r *http.Request) {
 		s.handleSolve(w, r, "loop", s.execLoop)
 	})
-	s.mux.HandleFunc("POST "+ShardPrefix+"solve", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSolve(w, r, "shard", s.solveShard)
-	})
-	s.mux.HandleFunc("GET /version", s.handleVersion)
+	s.mux.Handle("GET", "/version", s.handleVersion)
 	s.sessionRoutes()
+	s.mux.Seal(s.metrics.requests)
 }
 
 // Handler returns the service's HTTP handler (for tests and embedding).
@@ -443,7 +448,7 @@ func (s *Server) solve(decode func([]byte) (*Request, error)) execFunc {
 }
 
 // handleSolve is the common path for directly-executed endpoints
-// (ordinary, general, grid2d, loop, shard): decode+validate, admit, run on
+// (ordinary, general, grid2d, loop, session open): decode+validate, admit, run on
 // the pool, wait.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint string, exec execFunc) {
 	s.inflight.Add(1)
@@ -712,8 +717,7 @@ func StatusForSolve(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled), errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, ir.ErrInvalidSystem), errors.Is(err, moebius.ErrBadSystem),
-		errors.Is(err, ir.ErrShard):
+	case errors.Is(err, ir.ErrInvalidSystem), errors.Is(err, moebius.ErrBadSystem):
 		return http.StatusBadRequest
 	case errors.Is(err, ir.ErrNonFinite), errors.Is(err, ir.ErrGrid2DNonFinite),
 		errors.Is(err, ir.ErrExponentLimit), errors.Is(err, ir.ErrInvalidSparse):

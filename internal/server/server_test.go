@@ -595,3 +595,60 @@ func TestEndpointsEndToEnd(t *testing.T) {
 		}
 	})
 }
+
+// TestVersionEndpoint asserts GET /version answers with the build info the
+// binary embeds.
+func TestVersionEndpoint(t *testing.T) {
+	_, ts, down := newTestServer(t, Config{})
+	defer down()
+	resp, err := http.Get(ts.URL + "/version")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d", resp.StatusCode)
+	}
+	var v VersionResponse
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	if v.Version == "" || v.Go == "" {
+		t.Fatalf("version response missing fields: %+v", v)
+	}
+}
+
+// TestUnmatchedRoutesJSON pins irserved's edges to the JSON error schema:
+// the retired shard route and any other unknown path answer 404, a known
+// path with the wrong method 405 with an Allow header.
+func TestUnmatchedRoutesJSON(t *testing.T) {
+	_, ts, down := newTestServer(t, Config{})
+	defer down()
+	for _, tc := range []struct {
+		method, path string
+		code         int
+	}{
+		{http.MethodPost, ShardPrefix + "solve", http.StatusNotFound},
+		{http.MethodGet, "/no/such/path", http.StatusNotFound},
+		{http.MethodGet, APIPrefix + "ordinary", http.StatusMethodNotAllowed},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != tc.code || e.Code != tc.code || e.Error == "" {
+			t.Fatalf("%s %s: HTTP %d %+v (%v), want %d in the JSON error schema",
+				tc.method, tc.path, resp.StatusCode, e, err, tc.code)
+		}
+		if tc.code == http.StatusMethodNotAllowed && !strings.Contains(resp.Header.Get("Allow"), "POST") {
+			t.Fatalf("%s %s: Allow = %q, want POST", tc.method, tc.path, resp.Header.Get("Allow"))
+		}
+	}
+}

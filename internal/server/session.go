@@ -120,23 +120,19 @@ type SessionStateResponse struct {
 
 // sessionRoutes mounts the streaming-session endpoints.
 func (s *Server) sessionRoutes() {
-	s.mux.HandleFunc("POST "+SessionPrefix, func(w http.ResponseWriter, r *http.Request) {
+	s.mux.Handle("POST", SessionPrefix, func(w http.ResponseWriter, r *http.Request) {
 		s.handleSolve(w, r, "session_open", s.execSessionOpen)
 	})
-	s.mux.HandleFunc("POST "+SessionPrefix+"/{id}/append", s.handleSessionAppend)
-	s.mux.HandleFunc("GET "+SessionPrefix+"/{id}", s.handleSessionGet)
-	s.mux.HandleFunc("DELETE "+SessionPrefix+"/{id}", s.handleSessionDelete)
+	s.mux.Handle("POST", SessionPrefix+"/{id}/append", s.handleSessionAppend)
+	s.mux.Handle("GET", SessionPrefix+"/{id}", s.handleSessionGet)
+	s.mux.Handle("DELETE", SessionPrefix+"/{id}", s.handleSessionDelete)
 }
 
 // execSessionOpen validates an open request and returns the pool job that
 // seeds the session (sequential fold of the prefix + plan compile) and
 // admits it into the store.
 func (s *Server) execSessionOpen(body []byte) (func(ctx context.Context) (any, error), int, error) {
-	var req SessionOpenRequest
-	if err := unmarshal(body, &req); err != nil {
-		return nil, 0, err
-	}
-	spec, err := s.sessionSpec(&req)
+	spec, pr, err := s.limits.DecodeSessionOpen(body)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -146,19 +142,6 @@ func (s *Server) execSessionOpen(body []byte) (func(ctx context.Context) (any, e
 		// configured; the session keeps its own reference, so later cache
 		// eviction cannot invalidate it.
 		if s.plans != nil {
-			// Keyed exactly as the session's own fingerprint and the
-			// one-shot solves: the same Request.Plan resolves all of them.
-			pr := &Request{Family: spec.Family, System: spec.System, M: spec.M, G: spec.G, F: spec.F}
-			pr.Data.Opts.Procs = spec.Opts.Procs
-			if pr.Family == ir.FamilyAuto {
-				pr.Family = ir.FamilyGeneral
-				if spec.System.Ordinary() && spec.System.GDistinct() {
-					pr.Family = ir.FamilyOrdinary
-				}
-			}
-			if pr.Family == ir.FamilyGeneral {
-				pr.Bits = spec.MaxExponentBits
-			}
 			if p, err := pr.Plan(ctx, s.plans); err == nil {
 				spec.Plan = p
 			}
@@ -179,71 +162,86 @@ func (s *Server) execSessionOpen(body []byte) (func(ctx context.Context) (any, e
 			Fingerprint: sess.Fingerprint(),
 			ElapsedMs:   ms(start),
 		}, nil
-	}, req.Opts.TimeoutMs, nil
+	}, pr.TimeoutMs, nil
 }
 
-// sessionSpec converts a wire open request into a session.Spec, applying
-// server limits.
-func (s *Server) sessionSpec(req *SessionOpenRequest) (*session.Spec, error) {
-	spec := &session.Spec{
-		MaxN:            s.cfg.MaxN,
-		MaxExponentBits: s.cfg.MaxExponentBits,
+// DecodeSessionOpen decodes a POST /v1/session body under l into the
+// session spec it opens and the Request of its initial structure — whose
+// Fingerprint and Plan key the session exactly as a one-shot solve of that
+// structure, on either role.
+func (l Limits) DecodeSessionOpen(body []byte) (*session.Spec, *Request, error) {
+	var req SessionOpenRequest
+	if err := unmarshal(body, &req); err != nil {
+		return nil, nil, err
 	}
-	opts, err := req.Opts.Options()
-	if err != nil {
-		return nil, err
-	}
-	opts.Procs = s.limits.clampProcs(opts.Procs)
-	spec.Opts = opts
+	spec := &session.Spec{MaxN: l.MaxN}
+	var pr *Request
+	var err error
 	switch strings.ToLower(req.Family) {
 	case "linear", "moebius":
-		if len(req.G) > s.cfg.MaxN {
-			return nil, fmt.Errorf("n = %d exceeds the server limit %d", len(req.G), s.cfg.MaxN)
+		if len(req.G) > l.MaxN {
+			return nil, nil, fmt.Errorf("n = %d exceeds the server limit %d", len(req.G), l.MaxN)
 		}
+		if pr, err = l.request(ir.FamilyMoebius, req.Opts); err != nil {
+			return nil, nil, err
+		}
+		pr.M, pr.G, pr.F = req.M, req.G, req.F
 		spec.Family = ir.FamilyMoebius
 		spec.M, spec.G, spec.F = req.M, req.G, req.F
 		spec.A, spec.B, spec.C, spec.D = req.A, req.B, req.C, req.D
 		spec.X0 = req.X0
 		if req.Extended {
 			if len(req.X0) != req.M {
-				return nil, fmt.Errorf("extended form: len(x0) = %d, want m = %d", len(req.X0), req.M)
+				return nil, nil, fmt.Errorf("extended form: len(x0) = %d, want m = %d", len(req.X0), req.M)
 			}
 			b2 := make([]float64, len(req.B))
 			for i := range b2 {
 				if req.G[i] < 0 || req.G[i] >= req.M {
-					return nil, fmt.Errorf("g[%d] = %d out of range [0,%d)", i, req.G[i], req.M)
+					return nil, nil, fmt.Errorf("g[%d] = %d out of range [0,%d)", i, req.G[i], req.M)
 				}
 				b2[i] = req.X0[req.G[i]] + req.B[i]
 			}
 			spec.B = b2
 		}
 	case "ordinary", "general", "auto", "":
-		switch strings.ToLower(req.Family) {
-		case "ordinary":
-			spec.Family = ir.FamilyOrdinary
-		case "general":
-			spec.Family = ir.FamilyGeneral
-		default:
-			spec.Family = ir.FamilyAuto
-		}
-		if req.System.N > s.cfg.MaxN || len(req.System.G) > s.cfg.MaxN {
-			return nil, fmt.Errorf("n = %d exceeds the server limit %d",
-				max(req.System.N, len(req.System.G)), s.cfg.MaxN)
+		if req.System.N > l.MaxN || len(req.System.G) > l.MaxN {
+			return nil, nil, fmt.Errorf("n = %d exceeds the server limit %d",
+				max(req.System.N, len(req.System.G)), l.MaxN)
 		}
 		sys, err := req.System.System()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		// The plan request resolves auto as ir.CompileCtx (and the session)
+		// does: ordinary when eligible, else general.
+		fam := ir.FamilyGeneral
+		spec.Family = ir.FamilyAuto
+		switch strings.ToLower(req.Family) {
+		case "ordinary":
+			spec.Family, fam = ir.FamilyOrdinary, ir.FamilyOrdinary
+		case "general":
+			spec.Family = ir.FamilyGeneral
+		default:
+			if sys.Ordinary() && sys.GDistinct() {
+				fam = ir.FamilyOrdinary
+			}
+		}
+		if pr, err = l.request(fam, req.Opts); err != nil {
+			return nil, nil, err
+		}
+		pr.System = sys
 		spec.System = sys
 		data := ir.PlanData{Op: req.Op, Mod: req.Mod}
 		if err := decodeOpInit(&data, req.Init); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		spec.Op, spec.Mod, spec.InitInt, spec.InitFloat = data.Op, data.Mod, data.InitInt, data.InitFloat
 	default:
-		return nil, fmt.Errorf("unknown family %q (one of ordinary, general, auto, linear, moebius)", req.Family)
+		return nil, nil, fmt.Errorf("unknown family %q (one of ordinary, general, auto, linear, moebius)", req.Family)
 	}
-	return spec, nil
+	spec.Opts = pr.Data.Opts
+	spec.MaxExponentBits = l.exponentBits(req.Opts)
+	return spec, pr, nil
 }
 
 // handleSessionAppend folds a batch into a live session. It mirrors

@@ -269,62 +269,3 @@ func TestSparseKillSwitchFallback(t *testing.T) {
 		t.Fatalf("HTTP %d with sparse enabled: %s", resp.StatusCode, data)
 	}
 }
-
-// TestSparseShardEndpoint partitions a sparse plan and executes each shard
-// over the /v1/shard/solve endpoint, then checks the shards tile the
-// compact value set of a whole solve.
-func TestSparseShardEndpoint(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	ctx := context.Background()
-	sp, init := sparseChain(t, 300, 500, 2_000_000)
-	p, err := ir.CompileSparseCtx(ctx, sp, ir.CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole, err := p.SolveCtx(ctx, ir.PlanData{Op: "int64-add", InitInt: init})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got := make(map[int]int64)
-	for _, sh := range p.Partition(3) {
-		req := ShardRequest{
-			Family: "ordinary",
-			System: ir.WireFromSparse(sp),
-			Shard:  ShardWire{Lo: sh.Lo, Hi: sh.Hi},
-			Op:     "int64-add",
-			Init:   rawInts(t, init),
-		}
-		resp, data := post(t, ts.URL+ShardPrefix+"solve", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("shard [%d,%d): HTTP %d: %s", sh.Lo, sh.Hi, resp.StatusCode, data)
-		}
-		var out ShardResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatal(err)
-		}
-		if len(out.Cells) != len(out.ValuesInt) {
-			t.Fatalf("shard cells/values mismatch: %d vs %d", len(out.Cells), len(out.ValuesInt))
-		}
-		for i, c := range out.Cells {
-			if _, dup := got[c]; dup {
-				t.Fatalf("compact cell %d owned by two shards", c)
-			}
-			got[c] = out.ValuesInt[i]
-		}
-	}
-	// Shards own written cells; init-only cells (the chain seed) stay with
-	// the coordinator's init.
-	written := make(map[int]bool)
-	for _, gi := range sp.Compact.G {
-		written[gi] = true
-	}
-	if len(got) != len(written) {
-		t.Fatalf("shards cover %d compact cells, want %d written", len(got), len(written))
-	}
-	for c, v := range got {
-		if v != whole.ValuesInt[c] {
-			t.Fatalf("compact cell %d: sharded %d, whole %d", c, v, whole.ValuesInt[c])
-		}
-	}
-}

@@ -3,8 +3,7 @@
 //
 //   - Chain / Chains — one long write chain (worst-case pointer-jumping
 //     round count, and the shape that selects the ordinary solver's
-//     blocked-scan schedule) and k parallel chains (the distribution unit
-//     of a cluster scatter);
+//     blocked-scan schedule) and k parallel chains;
 //   - RandomOrdinary — random distinct-g systems, the fuzzers' staple;
 //   - Scatter — non-distinct g with commutative combine, modeled on the
 //     Livermore gather/scatter kernels (GIR-only territory);

@@ -211,42 +211,6 @@ func TestCompileSparsePlan(t *testing.T) {
 	}
 }
 
-func TestSparsePlanSharding(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(9))
-	sp := sparseBands(t, 5_000_000, 256, 8, 37)
-	init := sparseTestInit(rng, sp.NumCells())
-	p, err := CompileSparseCtx(ctx, sp, CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := PlanData{Op: "int64-add", InitInt: init, Opts: SolveOptions{Procs: 2}}
-	whole, err := p.SolveCtx(ctx, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := p.Partition(3)
-	parts := make([]*ShardSolution, len(shards))
-	for i, sh := range shards {
-		parts[i], err = p.SolveShardCtx(ctx, data, sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := p.MergeShards(data, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.ValuesInt) != sp.NumCells() {
-		t.Fatalf("merged length %d, want %d", len(merged.ValuesInt), sp.NumCells())
-	}
-	for i := range whole.ValuesInt {
-		if merged.ValuesInt[i] != whole.ValuesInt[i] {
-			t.Fatalf("sharded merge diverges at compact id %d", i)
-		}
-	}
-}
-
 func TestSparseWireRoundTrip(t *testing.T) {
 	sp, _ := sparseStrided(t, 50, 31)
 	w := WireFromSparse(sp)
