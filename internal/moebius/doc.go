@@ -43,7 +43,9 @@
 // CompilePlan precomputes everything above that depends only on (m, g, f) —
 // the shadow rewrite and the ordinary-solver schedule — so repeated solves
 // over the same index maps pay only the numeric phase; Plan.SolveCtx and
-// SolveBatchPlansCtx replay bit-identically to the direct entry points. A
+// Plan.SolveLinearCtx replay bit-identically to the direct entry points. A
 // Plan is immutable after CompilePlan returns and safe for concurrent
-// solves from any number of goroutines.
+// solves from any number of goroutines. Independent systems — Livermore
+// 23's columns, or concurrent service requests — each get their own solve;
+// nothing batches them into a shared sweep.
 package moebius

@@ -209,6 +209,38 @@ func TestForEachCtxStopsAtError(t *testing.T) {
 	}
 }
 
+// TestForEachCtxNestedProcsClamping: a ForEachCtx across items whose bodies
+// run their own ForCtx both clamp Procs, so degenerate values — zero,
+// negative, absurdly large — still cover every index exactly once and keep
+// total concurrency bounded by the machine, not by Procs².
+func TestForEachCtxNestedProcsClamping(t *testing.T) {
+	const outer, inner = 64, 256
+	base := runtime.NumGoroutine()
+	limit := base + 4*runtime.GOMAXPROCS(0)*runtime.GOMAXPROCS(0) + 64
+	for _, p := range []int{-1, 0, 1, 3, 1 << 20} {
+		var covered, peak atomic.Int64
+		err := ForEachCtx(context.Background(), outer, p, func(int) error {
+			return ForCtx(context.Background(), inner, p, func(lo, hi int) error {
+				if g := int64(runtime.NumGoroutine()); g > peak.Load() {
+					peak.Store(g)
+				}
+				covered.Add(int64(hi - lo))
+				return nil
+			})
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if got := covered.Load(); got != outer*inner {
+			t.Fatalf("p=%d: covered %d indices, want %d", p, got, outer*inner)
+		}
+		if got := peak.Load(); got > int64(limit) {
+			t.Errorf("p=%d: %d goroutines alive (baseline %d)", p, got, base)
+		}
+	}
+	waitGoroutines(t, base)
+}
+
 func TestBarrierBreakReleasesWaiters(t *testing.T) {
 	base := runtime.NumGoroutine()
 	b := NewBarrier(3)

@@ -65,8 +65,7 @@ type GeneralResponse struct {
 
 // LinearRequest is the body of POST /v1/solve/linear:
 // X[g(i)] := a[i]·X[f(i)] + b[i], with Extended selecting the paper's
-// X[g] := X[g] + a·X[f] + b rewriting. Linear requests are eligible for
-// server-side batch coalescing.
+// X[g] := X[g] + a·X[f] + b rewriting.
 type LinearRequest struct {
 	M        int            `json:"m"`
 	G        []int          `json:"g"`
@@ -79,8 +78,7 @@ type LinearRequest struct {
 }
 
 // MoebiusRequest is the body of POST /v1/solve/moebius — the full
-// fractional-linear form X[g] := (a·X[f]+b)/(c·X[f]+d). Eligible for
-// batch coalescing.
+// fractional-linear form X[g] := (a·X[f]+b)/(c·X[f]+d).
 type MoebiusRequest struct {
 	M    int            `json:"m"`
 	G    []int          `json:"g"`
@@ -93,12 +91,11 @@ type MoebiusRequest struct {
 	Opts ir.OptionsWire `json:"opts,omitempty"`
 }
 
-// MoebiusResponse is shared by the linear and moebius endpoints. BatchSize
-// reports how many requests the server coalesced into the dispatch that
-// solved this one (1 = solved alone).
+// MoebiusResponse is shared by the linear and moebius endpoints. ElapsedMs
+// is the solve time (plan resolve through response shaping, admission wait
+// excluded), as on every other endpoint.
 type MoebiusResponse struct {
 	Values    []float64 `json:"values"`
-	BatchSize int       `json:"batch_size"`
 	ElapsedMs float64   `json:"elapsed_ms"`
 }
 

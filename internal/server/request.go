@@ -303,12 +303,6 @@ func (l Limits) grid(g *ir.Grid2DSystem, ow ir.OptionsWire) (*Request, error) {
 	return r, nil
 }
 
-// moebiusSystem reassembles a Möbius-family request for the coalescer.
-func (r *Request) moebiusSystem() *moebius.MoebiusSystem {
-	d := r.Data
-	return &moebius.MoebiusSystem{M: r.M, G: r.G, F: r.F, A: d.A, B: d.B, C: d.C, D: d.D}
-}
-
 // Fingerprint returns the key of the request's compiled plan, by family
 // and encoding: dense, sparse, Möbius or grid. It keys the plan cache and
 // ircoord's routing of the solve (and of a session opened on the same
@@ -358,7 +352,7 @@ func (r *Request) Response(sol *ir.PlanSolution, elapsed time.Duration) (any, er
 	elapsedMs := float64(elapsed.Microseconds()) / 1000
 	switch r.Family {
 	case ir.FamilyMoebius:
-		return MoebiusResponse{Values: sol.Values, BatchSize: 1, ElapsedMs: elapsedMs}, nil
+		return MoebiusResponse{Values: sol.Values, ElapsedMs: elapsedMs}, nil
 	case ir.FamilyGrid2D:
 		return Grid2DResponse{Values: sol.Values, Rounds: sol.Rounds,
 			Cells: int64(r.Grid.Rows) * int64(r.Grid.Cols), ElapsedMs: elapsedMs}, nil

@@ -39,12 +39,6 @@ type Config struct {
 	// (default max(1, GOMAXPROCS/Workers)); client-requested procs are
 	// clamped to it.
 	Procs int
-	// BatchWindow is how long the coalescer holds the first Möbius/linear
-	// request of a batch waiting for companions (default 2ms).
-	BatchWindow time.Duration
-	// MaxBatch closes a batch early once this many requests coalesced
-	// (default 32).
-	MaxBatch int
 	// DefaultTimeout bounds solves whose request didn't set timeout_ms
 	// (default 30s); MaxTimeout clamps client-requested deadlines
 	// (default 2m).
@@ -97,12 +91,6 @@ func (c *Config) setDefaults() {
 			c.Procs = 1
 		}
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
@@ -128,22 +116,19 @@ func (c *Config) setDefaults() {
 
 // serverMetrics is the service's metrics contract; see DESIGN.md §8.
 type serverMetrics struct {
-	requests       *CounterVec   // irserved_requests_total{endpoint,code}
-	shed           *CounterVec   // irserved_shed_total{endpoint}
-	tenantShed     *CounterVec   // irserved_tenant_shed_total{tenant}
-	queueDepth     *Gauge        // irserved_queue_depth
-	queueCapacity  *Gauge        // irserved_queue_capacity
-	inflight       *Gauge        // irserved_inflight_requests
-	ready          *Gauge        // irserved_ready
-	batches        *Counter      // irserved_batches_total
-	batchSize      *Histogram    // irserved_batch_size
-	batchFallbacks *Counter      // irserved_batch_fallbacks_total
-	latency        *HistogramVec // irserved_solve_seconds{endpoint}
-	sparseSolves   *CounterVec   // irserved_sparse_solves_total{mode}
-	planHits       *Counter      // irserved_plan_cache_hits_total
-	planMisses     *Counter      // irserved_plan_cache_misses_total
-	planEvictions  *Counter      // irserved_plan_cache_evictions_total
-	planBytes      *Gauge        // irserved_plan_cache_bytes
+	requests      *CounterVec   // irserved_requests_total{endpoint,code}
+	shed          *CounterVec   // irserved_shed_total{endpoint}
+	tenantShed    *CounterVec   // irserved_tenant_shed_total{tenant}
+	queueDepth    *Gauge        // irserved_queue_depth
+	queueCapacity *Gauge        // irserved_queue_capacity
+	inflight      *Gauge        // irserved_inflight_requests
+	ready         *Gauge        // irserved_ready
+	latency       *HistogramVec // irserved_solve_seconds{endpoint}
+	sparseSolves  *CounterVec   // irserved_sparse_solves_total{mode}
+	planHits      *Counter      // irserved_plan_cache_hits_total
+	planMisses    *Counter      // irserved_plan_cache_misses_total
+	planEvictions *Counter      // irserved_plan_cache_evictions_total
+	planBytes     *Gauge        // irserved_plan_cache_bytes
 
 	sessions             *GaugeVec  // irserved_sessions{state}
 	sessionAppends       *Counter   // irserved_session_appends_total
@@ -168,13 +153,6 @@ func newServerMetrics(reg *Registry, depthFn func() float64, capacity int) *serv
 			"Solve requests currently admitted and not yet answered."),
 		ready: reg.NewGauge("irserved_ready",
 			"1 while serving, 0 once draining began."),
-		batches: reg.NewCounter("irserved_batches_total",
-			"Coalesced Moebius/linear batches dispatched."),
-		batchSize: reg.NewHistogram("irserved_batch_size",
-			"Requests coalesced per dispatched batch.",
-			[]float64{1, 2, 4, 8, 16, 32, 64}),
-		batchFallbacks: reg.NewCounter("irserved_batch_fallbacks_total",
-			"Batches that fell back to per-item solves after a sweep error."),
 		latency: reg.NewHistogramVec("irserved_solve_seconds",
 			"End-to-end solve latency (admission queueing included).",
 			[]float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10},
@@ -225,7 +203,6 @@ type Server struct {
 	reg     *Registry
 	metrics *serverMetrics
 	pool    *pool
-	co      *coalescer
 	// plans caches compiled solve plans by fingerprint; nil when
 	// Config.PlanCacheBytes is negative (caching disabled).
 	plans *PlanCache
@@ -236,28 +213,24 @@ type Server struct {
 	sessionOpen   atomic.Int64
 	sessionClosed atomic.Int64
 	mux           *Router
-	lifetime      context.Context
-	cancel        context.CancelFunc
 	draining      atomic.Bool
 	inflight      sync.WaitGroup
 	shutOnce      sync.Once
 
 	// testHook, when non-nil, runs on the worker goroutine before each
-	// non-batch solve and before each batch sweep — tests use it to hold
-	// workers busy deterministically.
+	// solve — tests use it to hold workers busy deterministically.
 	testHook func()
 }
 
-// New builds a Server and starts its worker pool and coalescer.
+// New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg.setDefaults()
 	s := &Server{cfg: cfg, reg: NewRegistry(),
 		limits: Limits{MaxN: cfg.MaxN, Procs: cfg.Procs, MaxExponentBits: cfg.MaxExponentBits}}
-	s.lifetime, s.cancel = context.WithCancel(context.Background())
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.Procs, cfg.Tenants,
 		func(tenant string) { s.metrics.tenantShed.Inc(s.shedLabel(tenant)) })
 	s.metrics = newServerMetrics(s.reg,
-		func() float64 { return float64(s.pool.depth() + len(s.co.in)) },
+		func() float64 { return float64(s.pool.depth()) },
 		cfg.QueueDepth)
 	if cfg.PlanCacheBytes > 0 {
 		s.plans = NewPlanCache(cfg.PlanCacheBytes, s.metrics.planCacheMetrics())
@@ -278,19 +251,6 @@ func New(cfg Config) *Server {
 			Bytes: func(total int64) { s.metrics.sessionBytes.Set(total) },
 		},
 	})
-	s.co = newCoalescer(cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, func(items []*batchItem) {
-		j := &job{ctx: s.lifetime, run: func(jctx context.Context) {
-			if s.testHook != nil {
-				s.testHook()
-			}
-			s.runBatch(jctx, items)
-		}}
-		if err := s.pool.submitInternal(j); err != nil {
-			for _, it := range items {
-				it.res <- batchResult{err: err}
-			}
-		}
-	})
 	s.mux = NewRouter()
 	s.routes()
 	return s
@@ -307,10 +267,10 @@ func (s *Server) routes() {
 		s.handleSolve(w, r, "general", s.solve(s.limits.DecodeGeneral))
 	})
 	s.mux.Handle("POST", APIPrefix+"linear", func(w http.ResponseWriter, r *http.Request) {
-		s.handleCoalesced(w, r, "linear", s.limits.DecodeLinear)
+		s.handleSolve(w, r, "linear", s.solve(s.limits.DecodeLinear))
 	})
 	s.mux.Handle("POST", APIPrefix+"moebius", func(w http.ResponseWriter, r *http.Request) {
-		s.handleCoalesced(w, r, "moebius", s.limits.DecodeMoebius)
+		s.handleSolve(w, r, "moebius", s.solve(s.limits.DecodeMoebius))
 	})
 	s.mux.Handle("POST", APIPrefix+"grid2d", func(w http.ResponseWriter, r *http.Request) {
 		s.handleSolve(w, r, "grid2d", s.solve(s.limits.DecodeGrid2D))
@@ -328,12 +288,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry exposes the metrics registry (the example prints from it).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// BatchStats reports (batches dispatched, requests coalesced into them) —
-// convenience over the underlying metrics.
-func (s *Server) BatchStats() (batches, coalesced int64) {
-	return s.metrics.batches.Value(), int64(s.metrics.batchSize.Sum())
-}
 
 // ListenAndServe serves on cfg.Addr until ctx is cancelled, then drains
 // gracefully: readyz flips to 503, in-flight solves finish under their own
@@ -359,9 +313,9 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 }
 
 // Shutdown drains the service: new solve requests are refused with 503,
-// queued and running solves finish (bounded by ctx), the coalescer flushes,
-// and the worker pool exits. Safe to call once; later calls return nil
-// immediately.
+// queued and running solves finish under their own deadlines (an expired
+// ctx makes Shutdown report the drain as interrupted), and the worker pool
+// exits. Safe to call once; later calls return nil immediately.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.shutOnce.Do(func() {
@@ -376,8 +330,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		case <-done:
 		case <-ctx.Done():
 			err = fmt.Errorf("server: drain interrupted: %w", ctx.Err())
-			// Cancel stragglers so pool.close below still terminates.
-			s.cancel()
+			// Every straggler runs under its own request deadline, so the
+			// wait stays bounded.
 			<-done
 		}
 		// Drain the streaming sessions after in-flight appends finished: every
@@ -385,9 +339,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// stops.
 		s.sessions.CloseAll()
 		s.sessions.Close()
-		s.co.close()
 		s.pool.close()
-		s.cancel()
 	})
 	return err
 }
@@ -447,9 +399,9 @@ func (s *Server) solve(decode func([]byte) (*Request, error)) execFunc {
 	}
 }
 
-// handleSolve is the common path for directly-executed endpoints
-// (ordinary, general, grid2d, loop, session open): decode+validate, admit, run on
-// the pool, wait.
+// handleSolve is the one path for every solve endpoint (ordinary, general,
+// linear, moebius, grid2d, loop, session open): decode+validate, admit, run
+// on the pool, wait.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint string, exec execFunc) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -513,69 +465,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, endpoint st
 	case <-ctx.Done():
 		// Deadline or client disconnect while queued/solving; the worker
 		// will observe ctx and abandon the solve.
-		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
-		WriteError(w, s.metrics.requests, endpoint, StatusForSolve(ctx.Err()), ctx.Err().Error())
-	}
-}
-
-// handleCoalesced is the path for linear/moebius requests: full validation
-// up front, then admission into the coalescer rather than the plain queue.
-func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, endpoint string, decode func([]byte) (*Request, error)) {
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	s.metrics.inflight.Inc()
-	defer s.metrics.inflight.Dec()
-	start := time.Now()
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		WriteError(w, s.metrics.requests, endpoint, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	body, werr := ReadBody(w, r, s.cfg.MaxRequestBytes)
-	if werr != nil {
-		WriteError(w, s.metrics.requests, endpoint, http.StatusBadRequest, werr.Error())
-		return
-	}
-	req, err := decode(body)
-	if err != nil {
-		WriteError(w, s.metrics.requests, endpoint, StatusForValidation(err), err.Error())
-		return
-	}
-	ctx, cancel := RequestContext(r, req.TimeoutMs, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-	defer cancel()
-	// Charge the tenant's quota while the request sits in the coalescer:
-	// batch jobs run under the internal tenant, so without the reservation
-	// the coalesced path would sidestep MaxQueued entirely.
-	tenant := tenantOf(r)
-	if err := s.pool.reserve(tenant); err != nil {
-		s.refuse(w, endpoint, err)
-		return
-	}
-	defer s.pool.release(tenant)
-	it := &batchItem{ms: req.moebiusSystem(), x0: req.Data.X0, ctx: ctx, res: make(chan batchResult, 1)}
-	if s.plans != nil {
-		it.fp = ir.PlanFingerprint(ir.FamilyMoebius, len(req.G), req.M, req.G, req.F, nil, 0)
-	}
-	select {
-	case s.co.in <- it:
-	default:
-		s.metrics.tenantShed.Inc(s.shedLabel(tenant))
-		s.refuse(w, endpoint, errShed)
-		return
-	}
-	select {
-	case br := <-it.res:
-		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
-		if br.err != nil {
-			WriteError(w, s.metrics.requests, endpoint, StatusForSolve(br.err), br.err.Error())
-			return
-		}
-		WriteJSON(w, s.metrics.requests, endpoint, http.StatusOK, MoebiusResponse{
-			Values:    br.values,
-			BatchSize: br.size,
-			ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-		})
-	case <-ctx.Done():
 		s.metrics.latency.With(endpoint).Observe(time.Since(start).Seconds())
 		WriteError(w, s.metrics.requests, endpoint, StatusForSolve(ctx.Err()), ctx.Err().Error())
 	}
@@ -667,11 +556,11 @@ func (s *Server) refuse(w http.ResponseWriter, endpoint string, err error) {
 }
 
 // shedLabel bounds the irserved_tenant_shed_total label set: configured
-// tenants (plus the default and internal ones) keep their own label, while
+// tenants (plus the default one) keep their own label, while
 // arbitrary unconfigured X-IR-Tenant values fold into "other" so a client
 // inventing tenant names cannot grow the metric series without bound.
 func (s *Server) shedLabel(tenant string) string {
-	if tenant == DefaultTenant || tenant == internalTenant {
+	if tenant == DefaultTenant {
 		return tenant
 	}
 	if _, ok := s.cfg.Tenants[tenant]; ok {

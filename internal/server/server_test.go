@@ -90,17 +90,13 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, func())
 	return s, ts, down
 }
 
-// TestCoalescing fires 32 concurrent linear requests and asserts the
-// coalescer demonstrably batched them (batch-size metric > 1) while every
-// request still got its own correct answer.
-func TestCoalescing(t *testing.T) {
+// TestConcurrentLinear fires 32 concurrent linear requests of varied shapes
+// and asserts every request gets its own correct answer and no goroutine
+// outlives the server.
+func TestConcurrentLinear(t *testing.T) {
 	leak := checkGoroutines(t)
 	func() {
-		s, ts, down := newTestServer(t, Config{
-			BatchWindow: 25 * time.Millisecond,
-			MaxBatch:    8,
-			QueueDepth:  64,
-		})
+		_, ts, down := newTestServer(t, Config{QueueDepth: 64})
 		defer down()
 		const reqs = 32
 		var wg sync.WaitGroup
@@ -109,7 +105,7 @@ func TestCoalescing(t *testing.T) {
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				n := 8 + k%5 // varied shapes coalesce fine — systems are independent
+				n := 8 + k%5 // varied shapes share the pool and the plan cache
 				resp, data := post(t, ts.URL+APIPrefix+"linear", chainLinear(n))
 				if resp.StatusCode != http.StatusOK {
 					errs <- fmt.Errorf("request %d: HTTP %d: %s", k, resp.StatusCode, data)
@@ -133,18 +129,6 @@ func TestCoalescing(t *testing.T) {
 		for err := range errs {
 			t.Error(err)
 		}
-		batches, coalesced := s.BatchStats()
-		if coalesced != reqs {
-			t.Errorf("coalesced = %d, want %d", coalesced, reqs)
-		}
-		if batches >= reqs {
-			t.Errorf("batches = %d for %d requests — nothing coalesced", batches, reqs)
-		}
-		if got := s.metrics.batchSize.MaxObservedBound(); got < 2 {
-			t.Errorf("max batch-size bucket = %v, want >= 2 (a batch with >1 request)", got)
-		}
-		t.Logf("%d requests coalesced into %d batches (max bucket %v)",
-			coalesced, batches, s.metrics.batchSize.MaxObservedBound())
 	}()
 	leak()
 }
@@ -357,10 +341,10 @@ func TestRequestValidation(t *testing.T) {
 }
 
 // TestDivisionByZero: a finite Möbius system whose chain divides by zero is
-// a data-dependent failure — 422, and (because it's batched) its batch
-// neighbors must still succeed via the per-item fallback.
+// a data-dependent failure — 422 — and a concurrent neighbor must still
+// succeed.
 func TestDivisionByZero(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{BatchWindow: 25 * time.Millisecond, MaxBatch: 8})
+	_, ts, _ := newTestServer(t, Config{})
 	// x[1] = (0*x[0] + 1) / (1*x[0] + 0) = 1/x[0] with x0[0] = 0 → 1/0.
 	bad := MoebiusRequest{M: 2, G: []int{1}, F: []int{0},
 		A: []float64{0}, B: []float64{1}, C: []float64{1}, D: []float64{0},
@@ -397,10 +381,6 @@ func TestDivisionByZero(t *testing.T) {
 	if len(goodValues) == 5 && goodValues[4] != 5 {
 		t.Errorf("good request values = %v", goodValues)
 	}
-	// The two coalesce only when they land in one window; either way the
-	// bad one must not have poisoned the good one (asserted above). If
-	// they did coalesce, the fallback counter recorded it.
-	t.Logf("batch fallbacks: %d", s.metrics.batchFallbacks.Value())
 }
 
 // TestDeadline asserts a request-level deadline surfaces as 504.
@@ -447,8 +427,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	checkExposition(t, text)
 	for _, fam := range []string{
 		"irserved_requests_total", "irserved_queue_depth", "irserved_queue_capacity",
-		"irserved_shed_total", "irserved_batch_size", "irserved_solve_seconds",
-		"irserved_batches_total", "irserved_ready", "irserved_inflight_requests",
+		"irserved_shed_total", "irserved_solve_seconds",
+		"irserved_ready", "irserved_inflight_requests",
 	} {
 		if !strings.Contains(text, "# TYPE "+fam+" ") {
 			t.Errorf("metrics missing family %s", fam)
@@ -539,9 +519,6 @@ func TestEndpointsEndToEnd(t *testing.T) {
 			if diff := out.Values[i] - want; diff > 1e-12 || diff < -1e-12 {
 				t.Fatalf("x[%d] = %v, want %v", i, out.Values[i], want)
 			}
-		}
-		if out.BatchSize < 1 {
-			t.Errorf("BatchSize = %d, want >= 1", out.BatchSize)
 		}
 	})
 

@@ -53,6 +53,17 @@ func ordinaryChainReq() OrdinaryRequest {
 	}
 }
 
+// tenantFamilies are the request bodies the per-tenant admission tests run
+// through: every solve family, linear included, takes the one admission
+// path.
+var tenantFamilies = []struct {
+	endpoint string
+	newBody  func() any
+}{
+	{"ordinary", func() any { return ordinaryChainReq() }},
+	{"linear", func() any { return chainLinear(8) }},
+}
+
 // waitDepth polls the pool until it holds exactly n queued jobs.
 func waitDepth(t *testing.T, s *Server, n int) {
 	t.Helper()
@@ -67,9 +78,16 @@ func waitDepth(t *testing.T, s *Server, n int) {
 
 // TestTenantQuotaSheds bounds one tenant to a single queued job: with the
 // lone worker held busy and one job queued, the tenant's next request is
-// shed with 429 — while the global queue still has room — and the shed is
-// attributed to the tenant in irserved_tenant_shed_total.
+// shed with 429 + Retry-After — while the global queue still has room — and
+// the shed is attributed to the tenant in irserved_tenant_shed_total. Each
+// family in tenantFamilies runs the same scenario.
 func TestTenantQuotaSheds(t *testing.T) {
+	for _, fam := range tenantFamilies {
+		t.Run(fam.endpoint, func(t *testing.T) { tenantQuotaSheds(t, fam.endpoint, fam.newBody) })
+	}
+}
+
+func tenantQuotaSheds(t *testing.T, endpoint string, newBody func() any) {
 	leak := checkGoroutines(t)
 	func() {
 		s, ts, down := newTestServer(t, Config{
@@ -89,7 +107,7 @@ func TestTenantQuotaSheds(t *testing.T) {
 
 		// Request 1 occupies the worker; request 2 fills the tenant's quota
 		// of one queued job.
-		url := ts.URL + APIPrefix + "ordinary"
+		url := ts.URL + APIPrefix + endpoint
 		type reply struct {
 			code int
 			body []byte
@@ -97,7 +115,7 @@ func TestTenantQuotaSheds(t *testing.T) {
 		replies := make(chan reply, 2)
 		for i := 0; i < 2; i++ {
 			go func() {
-				resp, body := postTenant(t, url, "free", ordinaryChainReq())
+				resp, body := postTenant(t, url, "free", newBody())
 				replies <- reply{resp.StatusCode, body}
 			}()
 			if i == 0 {
@@ -109,9 +127,12 @@ func TestTenantQuotaSheds(t *testing.T) {
 
 		// The third request exceeds MaxQueued and sheds even though the
 		// global queue (depth 8) is nearly empty.
-		resp, body := postTenant(t, url, "free", ordinaryChainReq())
+		resp, body := postTenant(t, url, "free", newBody())
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("over-quota request: HTTP %d (%s), want 429", resp.StatusCode, body)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatal("over-quota 429 carries no Retry-After")
 		}
 		if !strings.Contains(string(body), "tenant") {
 			t.Fatalf("shed body does not name the tenant quota: %s", body)
@@ -123,7 +144,7 @@ func TestTenantQuotaSheds(t *testing.T) {
 		// A different tenant is not affected by free's quota.
 		done := make(chan reply, 1)
 		go func() {
-			resp, body := postTenant(t, url, "paid", ordinaryChainReq())
+			resp, body := postTenant(t, url, "paid", newBody())
 			done <- reply{resp.StatusCode, body}
 		}()
 		waitDepth(t, s, 2)
@@ -169,8 +190,16 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 // TestTenantPriorityEviction fills a depth-1 queue with a low-priority job
 // and submits a high-priority request: the high tenant must evict the
 // queued low job (which answers 429) and take its slot, instead of being
-// refused itself. Equal-priority tenants never evict each other.
+// refused itself. Equal-priority tenants never evict each other. Each
+// family in tenantFamilies runs the same scenario, so a queued linear job is
+// evictable like any other.
 func TestTenantPriorityEviction(t *testing.T) {
+	for _, fam := range tenantFamilies {
+		t.Run(fam.endpoint, func(t *testing.T) { tenantPriorityEviction(t, fam.endpoint, fam.newBody) })
+	}
+}
+
+func tenantPriorityEviction(t *testing.T, endpoint string, newBody func() any) {
 	leak := checkGoroutines(t)
 	func() {
 		s, ts, down := newTestServer(t, Config{
@@ -191,7 +220,7 @@ func TestTenantPriorityEviction(t *testing.T) {
 		}
 		defer once.Do(func() { close(hold) })
 
-		url := ts.URL + APIPrefix + "ordinary"
+		url := ts.URL + APIPrefix + endpoint
 		type reply struct {
 			code int
 			body []byte
@@ -200,20 +229,20 @@ func TestTenantPriorityEviction(t *testing.T) {
 		// Low request 1 occupies the worker; low request 2 fills the queue.
 		first := make(chan reply, 1)
 		go func() {
-			resp, body := postTenant(t, url, "low", ordinaryChainReq())
+			resp, body := postTenant(t, url, "low", newBody())
 			first <- reply{resp.StatusCode, body}
 		}()
 		<-running
 		queued := make(chan reply, 1)
 		go func() {
-			resp, body := postTenant(t, url, "low", ordinaryChainReq())
+			resp, body := postTenant(t, url, "low", newBody())
 			queued <- reply{resp.StatusCode, body}
 		}()
 		waitDepth(t, s, 1)
 
 		// Another low request cannot evict its own tenant: equal priorities
 		// shed the submitter, not the queue.
-		resp, body := postTenant(t, url, "low", ordinaryChainReq())
+		resp, body := postTenant(t, url, "low", newBody())
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("equal-priority overflow: HTTP %d (%s), want 429", resp.StatusCode, body)
 		}
@@ -227,7 +256,7 @@ func TestTenantPriorityEviction(t *testing.T) {
 		// the one that answers 429.
 		highDone := make(chan reply, 1)
 		go func() {
-			resp, body := postTenant(t, url, "high", ordinaryChainReq())
+			resp, body := postTenant(t, url, "high", newBody())
 			highDone <- reply{resp.StatusCode, body}
 		}()
 		var evicted reply
@@ -262,9 +291,8 @@ func TestTenantPriorityEviction(t *testing.T) {
 // TestTenantQueueGC drives the pool directly and asserts the tenants map
 // stays bounded under arbitrary tenant names: a shed submission never
 // leaves its just-created queue behind, a drained tenant's queue is
-// dropped after dequeue, and a released reservation drops its queue — so a
-// client inventing X-IR-Tenant values cannot grow pool memory (or dequeue
-// scan cost) without bound.
+// dropped after dequeue — so a client inventing X-IR-Tenant values cannot
+// grow pool memory (or dequeue scan cost) without bound.
 func TestTenantQueueGC(t *testing.T) {
 	p := newPool(1, 1, 1, map[string]TenantConfig{"cfgd": {Weight: 2}}, nil)
 
@@ -315,18 +343,6 @@ func TestTenantQueueGC(t *testing.T) {
 			t.Fatalf("tenants after drain = %d, want 0", tenantCount())
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-
-	// A coalescer reservation pins its queue only while held.
-	if err := p.reserve("batcher"); err != nil {
-		t.Fatal(err)
-	}
-	if got := tenantCount(); got != 1 {
-		t.Fatalf("tenants during a reservation = %d, want 1", got)
-	}
-	p.release("batcher")
-	if got := tenantCount(); got != 0 {
-		t.Fatalf("tenants after release = %d, want 0", got)
 	}
 
 	p.close()
