@@ -15,6 +15,7 @@ package indexedrec
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -327,7 +328,9 @@ func FuzzMoebiusPlanAgainstDirect(f *testing.F) {
 // every gang × kernel dispatch combination the toggles select. Errors must
 // agree too: when the oracle rejects a solution as non-finite, the
 // parallel paths must reject with the same class and name the same cell.
+// Shapes run past two tiles per side, and the seeds sit on the tile edges.
 func FuzzGrid2DAgainstOracle(f *testing.F) {
+	const b, maxSide = grid2d.TileSize, 2*grid2d.TileSize + 2
 	f.Add(int64(1), 1, 1, uint8(0), uint8(15))
 	f.Add(int64(2), 1, 17, uint8(1), uint8(7))
 	f.Add(int64(3), 17, 1, uint8(2), uint8(5))
@@ -335,8 +338,14 @@ func FuzzGrid2DAgainstOracle(f *testing.F) {
 	f.Add(int64(5), 32, 32, uint8(1), uint8(15))
 	f.Add(int64(6), 7, 31, uint8(2), uint8(9))
 	f.Add(int64(7), 24, 5, uint8(0), uint8(12))
+	f.Add(int64(8), b-1, b-1, uint8(1), uint8(15))
+	f.Add(int64(9), b, b, uint8(2), uint8(7))
+	f.Add(int64(10), b+1, b+1, uint8(0), uint8(15))
+	f.Add(int64(11), 2*b+1, 2*b+1, uint8(2), uint8(11))
+	f.Add(int64(12), 1, 2*b+1, uint8(1), uint8(15))
+	f.Add(int64(13), 2*b+1, 1, uint8(0), uint8(6))
 	f.Fuzz(func(t *testing.T, seed int64, rows, cols int, ringSel, mask uint8) {
-		if rows < 1 || rows > 32 || cols < 1 || cols > 32 {
+		if rows < 1 || rows > maxSide || cols < 1 || cols > maxSide {
 			t.Skip("grid shape out of fuzz range")
 		}
 		defer toggleEngine(seed)()
@@ -369,7 +378,7 @@ func FuzzGrid2DAgainstOracle(f *testing.F) {
 			t.Fatalf("facade failed where the oracle succeeded: %v", gotErr)
 		}
 		for i, v := range got.Values {
-			if v != want.Values[i] {
+			if math.Float64bits(v) != math.Float64bits(want.Values[i]) {
 				t.Fatalf("cell (%d,%d): facade %v != oracle %v", i/cols, i%cols, v, want.Values[i])
 			}
 		}
@@ -389,7 +398,7 @@ func FuzzGrid2DAgainstOracle(f *testing.F) {
 				t.Fatalf("arena replay %d: %v", rep, err)
 			}
 			for i, v := range res.Values {
-				if v != want.Values[i] {
+				if math.Float64bits(v) != math.Float64bits(want.Values[i]) {
 					t.Fatalf("arena replay %d cell %d: %v != oracle %v", rep, i, v, want.Values[i])
 				}
 			}

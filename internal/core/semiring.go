@@ -6,9 +6,11 @@ package core
 // needs (⊕, ⊗) to distribute, so the op classification lives here in the
 // kernel layer — the affine ring for linear recurrences, max-plus and
 // min-plus for dynamic programming — instead of being hard-coded into one
-// solver. Every path through a grid solve (sequential oracle, generic
-// interface dispatch, monomorphized kernels) funnels through gridCell, so
-// the fold order — and with it bit-identity — is fixed in exactly one place.
+// solver. The sequential oracle and the generic kernel fold every cell
+// through GridCell; each built-in semiring also has a concrete row kernel
+// that spells out the same fold — same term order, same comparisons — with
+// the ops written inline, so bit-identity across the paths is a property of
+// the code, checked by the grid2d tests and fuzzer.
 
 // Semiring is a float64 semiring: the (⊕, ⊗) pair a 2-D recurrence cell
 // update folds with. Implementations must be stateless value types; both
@@ -77,29 +79,29 @@ func (MinPlusF64) Plus(x, y float64) float64 {
 // Times returns x + y.
 func (MinPlusF64) Times(x, y float64) float64 { return x + y }
 
-// GridKernel is the grid family's analogue of Kernel: a batched cell-update
-// method over one anti-diagonal of the extended (boundary-augmented) grid.
-// The monomorphized instances (GridKernelFor) compile the semiring's ops to
-// direct calls; the generic instance (GridKernelGeneric) dispatches through
-// the Semiring interface. Both run gridCell per cell, so they are
-// bit-identical by construction — which is exactly what the grid2d fuzzer's
-// kernel toggle asserts.
+// GridKernel is the grid family's analogue of Kernel: an update of one run
+// of consecutive cells in a grid row. The concrete kernels (GridKernelFor)
+// are plain non-generic loops, one per built-in semiring, with ⊕ and ⊗
+// written inline; the generic kernel (GridKernelGeneric) folds each cell
+// through GridCell and the Semiring interface. Both fold in the same order,
+// so they are bit-identical — which is exactly what the grid2d kernel
+// toggle asserts.
 type GridKernel interface {
-	// UpdateDiag computes w[ext] for the cells t in [lo, hi) of one
-	// anti-diagonal. The extended grid w has row stride `stride`; cell t
-	// sits at ext = ext0 + t·(stride-1) and reads its up / left / diagonal
-	// neighbours at ext-stride, ext-1, ext-stride-1 (all on earlier
-	// diagonals, so any partition of [0, count) races nothing). The
-	// coefficient grids a, b, d, c (nil = term absent) have row stride
-	// stride-1 and are indexed at cof0 + t·(stride-2).
-	UpdateDiag(w []float64, a, b, d, c []float64, ext0, cof0, stride, lo, hi int)
+	// UpdateRow solves row[t] for t in [0, len(row)), left to right. up[t]
+	// is the solved cell above row[t]; left and diag are the solved cells
+	// left of and above-left of row[0]. a, b, d and c are the run's
+	// coefficients, each len(row) long, or nil for an absent term. It
+	// returns the sum of v−v over the values written: 0 when every one is
+	// finite, NaN otherwise.
+	UpdateRow(row, up []float64, left, diag float64, a, b, d, c []float64) float64
 }
 
-// gridCell folds one cell update in the canonical term order — up, left,
-// diagonal, constant, ⊕-folded left-associatively over the present terms.
-// Generic over the semiring so concrete instantiations inline the ops while
-// the interface instantiation yields the generic-dispatch reference path.
-func gridCell[R Semiring](ring R, a, b, d, c []float64, cof int, up, left, diag float64) float64 {
+// GridCell folds one cell update in the canonical term order — up, left,
+// diagonal, constant, ⊕-folded left-associatively over the present terms —
+// through interface dispatch. It is the sequential oracle's per-cell step
+// and the generic kernel's; the concrete row kernels repeat this fold with
+// the ops inlined.
+func GridCell(ring Semiring, a, b, d, c []float64, cof int, up, left, diag float64) float64 {
 	var acc float64
 	has := false
 	if a != nil {
@@ -132,47 +134,159 @@ func gridCell[R Semiring](ring R, a, b, d, c []float64, cof int, up, left, diag 
 	return acc
 }
 
-// GridCell computes one cell update through interface dispatch — the
-// sequential oracle's per-cell step, sharing gridCell with the batched
-// kernels so every path folds terms identically.
-func GridCell(ring Semiring, a, b, d, c []float64, cof int, up, left, diag float64) float64 {
-	return gridCell(ring, a, b, d, c, cof, up, left, diag)
-}
+// genericRows is the interface-dispatch row kernel: GridCell per cell.
+type genericRows struct{ ring Semiring }
 
-// gridKernel is the one UpdateDiag implementation, monomorphized per
-// concrete semiring (direct calls) or instantiated at the interface type
-// (generic dispatch).
-type gridKernel[R Semiring] struct{ ring R }
-
-func (k gridKernel[R]) UpdateDiag(w []float64, a, b, d, c []float64, ext0, cof0, stride, lo, hi int) {
-	estep, cstep := stride-1, stride-2
-	ext := ext0 + lo*estep
-	cof := cof0 + lo*cstep
-	for t := lo; t < hi; t++ {
-		w[ext] = gridCell(k.ring, a, b, d, c, cof, w[ext-stride], w[ext-1], w[ext-stride-1])
-		ext += estep
-		cof += cstep
+func (k genericRows) UpdateRow(row, up []float64, left, diag float64, a, b, d, c []float64) float64 {
+	var bad float64
+	for t := range row {
+		v := GridCell(k.ring, a, b, d, c, t, up[t], left, diag)
+		row[t] = v
+		bad += v - v
+		left, diag = v, up[t]
 	}
+	return bad
 }
 
-// GridKernelFor returns the monomorphized batch kernel for one of the
-// built-in semirings, or nil for an unknown implementation (callers then
-// fall back to GridKernelGeneric).
+// affineRows is RingF64's row kernel. The explicit float64 conversions
+// round each product before it is added, so no platform fuses a ⊗ and a ⊕
+// into one FMA and drifts from GridCell.
+type affineRows struct{}
+
+func (affineRows) UpdateRow(row, up []float64, left, diag float64, a, b, d, c []float64) float64 {
+	up = up[:len(row)]
+	var bad float64
+	for t := range row {
+		u := up[t]
+		var acc float64
+		has := false
+		if a != nil {
+			acc, has = float64(a[t]*u), true
+		}
+		if b != nil {
+			v := float64(b[t] * left)
+			if has {
+				acc += v
+			} else {
+				acc, has = v, true
+			}
+		}
+		if d != nil {
+			v := float64(d[t] * diag)
+			if has {
+				acc += v
+			} else {
+				acc, has = v, true
+			}
+		}
+		if c != nil {
+			if has {
+				acc += c[t]
+			} else {
+				acc = c[t]
+			}
+		}
+		row[t] = acc
+		bad += acc - acc
+		left, diag = acc, u
+	}
+	return bad
+}
+
+// maxPlusRows is MaxPlusF64's row kernel: ⊗ is +, and ⊕ keeps the running
+// value unless the new term compares strictly greater (a NaN never wins).
+type maxPlusRows struct{}
+
+func (maxPlusRows) UpdateRow(row, up []float64, left, diag float64, a, b, d, c []float64) float64 {
+	up = up[:len(row)]
+	var bad float64
+	for t := range row {
+		u := up[t]
+		var acc float64
+		has := false
+		if a != nil {
+			acc, has = a[t]+u, true
+		}
+		if b != nil {
+			if v := b[t] + left; !has || v > acc {
+				acc = v
+			}
+			has = true
+		}
+		if d != nil {
+			if v := d[t] + diag; !has || v > acc {
+				acc = v
+			}
+			has = true
+		}
+		if c != nil {
+			if v := c[t]; !has || v > acc {
+				acc = v
+			}
+		}
+		row[t] = acc
+		bad += acc - acc
+		left, diag = acc, u
+	}
+	return bad
+}
+
+// minPlusRows is MinPlusF64's row kernel: ⊗ is +, and ⊕ keeps the running
+// value unless the new term compares strictly less (a NaN never wins).
+type minPlusRows struct{}
+
+func (minPlusRows) UpdateRow(row, up []float64, left, diag float64, a, b, d, c []float64) float64 {
+	up = up[:len(row)]
+	var bad float64
+	for t := range row {
+		u := up[t]
+		var acc float64
+		has := false
+		if a != nil {
+			acc, has = a[t]+u, true
+		}
+		if b != nil {
+			if v := b[t] + left; !has || v < acc {
+				acc = v
+			}
+			has = true
+		}
+		if d != nil {
+			if v := d[t] + diag; !has || v < acc {
+				acc = v
+			}
+			has = true
+		}
+		if c != nil {
+			if v := c[t]; !has || v < acc {
+				acc = v
+			}
+		}
+		row[t] = acc
+		bad += acc - acc
+		left, diag = acc, u
+	}
+	return bad
+}
+
+// GridKernelFor returns the concrete row kernel of one of the built-in
+// semirings, or nil for an unknown implementation (callers then fall back
+// to GridKernelGeneric).
 func GridKernelFor(ring Semiring) GridKernel {
 	switch ring.(type) {
 	case RingF64:
-		return gridKernel[RingF64]{}
+		return affineRows{}
 	case MaxPlusF64:
-		return gridKernel[MaxPlusF64]{}
+		return maxPlusRows{}
 	case MinPlusF64:
-		return gridKernel[MinPlusF64]{}
+		return minPlusRows{}
 	}
 	return nil
 }
 
-// GridKernelGeneric returns the interface-dispatch batch kernel over ring —
+// GridKernelGeneric returns the interface-dispatch row kernel over ring —
 // the reference path the kernel kill switch (grid2d.SetKernelsEnabled)
-// falls back to, bit-identical to the monomorphized instances.
+// falls back to, bit-identical to the concrete kernels.
 func GridKernelGeneric(ring Semiring) GridKernel {
-	return gridKernel[Semiring]{ring: ring}
+	return genericRows{ring: ring}
 }

@@ -20,7 +20,7 @@ import (
 
 func init() {
 	register("grid2d", "E21 — 2-D wavefront grids: cold compile+solve vs warm arena replays on edit-distance DP up to 4096²",
-		"times anti-diagonal wavefront solves cold and warm across grid sizes", runGrid2D)
+		"times tiled wavefront solves cold, warm and against the sequential oracle across grid sizes", runGrid2D)
 }
 
 // GridBaselineEnv names the environment variable pointing at a checked-in
@@ -29,9 +29,19 @@ func init() {
 // for the wavefront hot path).
 const GridBaselineEnv = "IRBENCH_GRID_BASELINE"
 
-// gridProcs is the worker count per wavefront round, fixed (like scanProcs)
-// so the artifact is comparable across machines.
+// gridProcs is the procs bound of every replay, fixed (like scanProcs) so
+// the artifact is comparable across machines; the plan splits a round over
+// at most that many workers (grid2d.Plan.Workers).
 const gridProcs = 8
+
+// gridOracleGate is the least speedup a warm tiled replay must show over
+// the sequential row-major oracle on grids of at least gridOracleGateMinN
+// per side; below that size a grid is a handful of tiles and the margin is
+// not asserted.
+const (
+	gridOracleGate     = 1.5
+	gridOracleGateMinN = 1024
+)
 
 // gridGateFloorMs exempts sizes whose baseline warm replay is below this
 // many milliseconds from the regression gate — sub-millisecond replays
@@ -65,17 +75,21 @@ func internalGrid(s *ir.Grid2DSystem) (*grid2d.System, error) {
 	}, nil
 }
 
-// runGrid2D is E21: the wavefront hot path on n×n edit-distance grids. Per
-// size it measures the cold path (compile + one solve through the public
-// facade) and warm arena replays on a persistent gang — the irserved
-// steady state — and checks three invariants: warm values bit-identical to
-// cold, zero allocations per warm replay, and rounds = 2n-1 (one gang
-// round per anti-diagonal). Machine-readable GRID lines accompany the
-// table so CI and the IRBENCH_GRID_BASELINE gate can parse results. A side
-// table sweeps the three semiring kernels at one size, and a small-size
-// row cross-checks the sequential oracle. The wavefront is depth-limited
-// (2n-1 rounds of ≤ n cells), so warm-vs-cold — plan and arena reuse, not
-// parallel speedup — is the headline on few physical cores.
+// runGrid2D is E21: the tiled wavefront hot path on n×n edit-distance
+// grids. Per size it measures the cold path (compile + one solve through
+// the public facade), warm arena replays on a persistent gang — the
+// irserved steady state — the same warm replay on one worker, and the
+// sequential row-major oracle. It reports the warm replay's speedup over
+// the oracle and its parallel efficiency (one-worker time over gridProcs
+// time, divided by the workers that can run at once: the plan's split of
+// its widest round, bounded by GOMAXPROCS), so a locality or dispatch win
+// is not mistaken for a parallel one. It checks four invariants: warm
+// values bit-identical to cold and to the oracle, zero allocations per
+// warm replay, rounds = 2n-1 (the dependence depth), and a warm replay at
+// least gridOracleGate times faster than the oracle at n ≥
+// gridOracleGateMinN. Machine-readable GRID lines accompany the table so
+// CI and the IRBENCH_GRID_BASELINE gate can parse results. A side table
+// sweeps the three semiring kernels at one size.
 func runGrid2D(w io.Writer, opt Options) error {
 	rng := rand.New(rand.NewSource(opt.seed()))
 	coldReps, warmReps := 3, 8
@@ -97,9 +111,11 @@ func runGrid2D(w io.Writer, opt Options) error {
 
 	ctx := context.Background()
 	tb := report.NewTable(
-		fmt.Sprintf("edit-distance wavefront: cold vs warm arena replay (procs=%d, cold x%d, warm x%d, best-of)",
-			gridProcs, coldReps, warmReps),
-		"grid", "cells", "cold ms", "warm ms", "speedup", "rounds", "allocs/op", "identical")
+		fmt.Sprintf("edit-distance tiled wavefront: cold vs warm arena replay vs sequential oracle "+
+			"(procs=%d, GOMAXPROCS=%d, NumCPU=%d, cold/oracle x%d, warm x%d, best-of)",
+			gridProcs, runtime.GOMAXPROCS(0), runtime.NumCPU(), coldReps, warmReps),
+		"grid", "cells", "cold ms", "warm ms", "warm/cold", "oracle ms", "vs oracle",
+		"warm P=1 ms", "par eff", "rounds", "allocs/op", "identical")
 
 	var machine []string
 	for _, n := range sizes {
@@ -119,11 +135,27 @@ func runGrid2D(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
+		var oracle *grid2d.Result
+		oracleMs, err := bestOf(coldReps, func() error {
+			r, err := grid2d.SolveSequential(gsys)
+			oracle = r
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("grid2d n=%d: oracle: %w", n, err)
+		}
 		gp, err := grid2d.Compile(ctx, gsys)
 		if err != nil {
 			return fmt.Errorf("grid2d n=%d: compile: %w", n, err)
 		}
 		arena := gp.NewArena()
+		warm1Ms, err := bestOf(warmReps, func() error {
+			_, err := arena.SolveCtx(ctx, gsys, 1)
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("grid2d n=%d: one-worker replay: %w", n, err)
+		}
 
 		// Settle the heap after the cold solves, then run every warm replay
 		// on one persistent gang, as a server worker would.
@@ -141,7 +173,8 @@ func runGrid2D(w io.Writer, opt Options) error {
 			gang.Close()
 			return fmt.Errorf("grid2d n=%d: warm replay: %w", n, err)
 		}
-		identical := float64SlicesEqual(coldRes.Values, warmRes.Values)
+		identical := float64SlicesEqual(coldRes.Values, warmRes.Values) &&
+			float64SlicesEqual(oracle.Values, warmRes.Values)
 
 		allocs := testing.AllocsPerRun(3, func() {
 			if _, err := arena.SolveCtx(gctx, gsys, gridProcs); err != nil {
@@ -151,10 +184,10 @@ func runGrid2D(w io.Writer, opt Options) error {
 		gang.Close()
 
 		if !identical {
-			return fmt.Errorf("grid2d n=%d: warm replay diverged from the cold solve", n)
+			return fmt.Errorf("grid2d n=%d: warm replay diverged from the cold solve or the oracle", n)
 		}
 		if warmRes.Rounds != 2*n-1 {
-			return fmt.Errorf("grid2d n=%d: %d rounds, want one per anti-diagonal (%d)", n, warmRes.Rounds, 2*n-1)
+			return fmt.Errorf("grid2d n=%d: %d rounds, want the dependence depth %d", n, warmRes.Rounds, 2*n-1)
 		}
 		// Race instrumentation allocates inside the workers; the zero-alloc
 		// contract is only gated in normal builds (the -race path is covered
@@ -184,23 +217,36 @@ func runGrid2D(w io.Writer, opt Options) error {
 					n, warmMs, (baselineSlack-1)*100, prior)
 			}
 		}
+		// Workers that can run at once: the plan's split of its widest
+		// round under gridProcs, bounded by the scheduler.
+		workers := min(gp.Workers(gridProcs), runtime.GOMAXPROCS(0))
+		speedup := oracleMs / warmMs
+		if n >= gridOracleGateMinN && speedup < gridOracleGate && !parallel.RaceEnabled {
+			return fmt.Errorf("grid2d n=%d: warm replay %.3f ms is only %.2fx the sequential oracle's %.3f ms, want >= %.1fx",
+				n, warmMs, speedup, oracleMs, gridOracleGate)
+		}
+		parEff := warm1Ms / warmMs / float64(workers)
 
 		tb.AddRow(fmt.Sprintf("%dx%d", n, n), coldRes.Cells,
 			fmt.Sprintf("%.3f", coldMs),
 			fmt.Sprintf("%.3f", warmMs),
 			fmt.Sprintf("%.2fx", coldMs/warmMs),
+			fmt.Sprintf("%.3f", oracleMs),
+			fmt.Sprintf("%.2fx", speedup),
+			fmt.Sprintf("%.3f", warm1Ms),
+			fmt.Sprintf("%.2f", parEff),
 			warmRes.Rounds,
 			fmt.Sprintf("%.0f", allocs), identical)
 		machine = append(machine, fmt.Sprintf(
-			"GRID n=%d cold_ms=%.3f warm_ms=%.3f rounds=%d allocs=%.0f identical=%v",
-			n, coldMs, warmMs, warmRes.Rounds, allocs, identical))
+			"GRID n=%d cold_ms=%.3f warm_ms=%.3f rounds=%d allocs=%.0f identical=%v oracle_ms=%.3f speedup=%.2f warm1_ms=%.3f par_eff=%.2f workers=%d",
+			n, coldMs, warmMs, warmRes.Rounds, allocs, identical, oracleMs, speedup, warm1Ms, parEff, workers))
 	}
 	tb.Render(w)
 	fmt.Fprintln(w)
 
-	// Semiring kernel sweep at the smallest size: the same wavefront
-	// schedule drives all three monomorphized kernels, and the affine row
-	// doubles as the oracle cross-check (sequential row-major vs parallel).
+	// Semiring kernel sweep at the smallest size: the same tiled schedule
+	// drives all three concrete row kernels, each cross-checked against the
+	// sequential row-major oracle.
 	{
 		n := sizes[0]
 		st := report.NewTable(fmt.Sprintf("semiring kernels on a random %dx%d grid (warm x%d)", n, n, warmReps),
@@ -250,9 +296,15 @@ func runGrid2D(w io.Writer, opt Options) error {
 	for _, line := range machine {
 		fmt.Fprintln(w, line)
 	}
-	fmt.Fprintln(w, "\nEach anti-diagonal is one gang round, so a 2n-1-round wavefront replays")
-	fmt.Fprintln(w, "from a warm arena with zero allocations, bit-identical to the cold solve")
-	fmt.Fprintln(w, "and to the sequential row-major oracle.")
+	fmt.Fprintf(w, "\nEach %dx%d tile anti-diagonal is one round, so the 2n-1 cell diagonals\n", grid2d.TileSize, grid2d.TileSize)
+	fmt.Fprintln(w, "replay from a warm arena in 2⌈n/B⌉-1 rounds with zero allocations,")
+	fmt.Fprintln(w, "bit-identical to the cold solve and to the sequential row-major oracle.")
+	fmt.Fprintln(w, "\"vs oracle\" is the warm replay's speedup over that oracle; \"par eff\" is")
+	fmt.Fprintln(w, "the one-worker replay time over the warm time, per worker that can run at")
+	fmt.Fprintln(w, "once (GOMAXPROCS and the widest round's split bound them; a round is split")
+	fmt.Fprintln(w, "only with four tiles per worker: under eight tiles a side, one runs).")
+	fmt.Fprintln(w, "A speedup above the worker count comes from tiling and the concrete row")
+	fmt.Fprintln(w, "kernels (locality and dispatch), not from parallelism.")
 	return nil
 }
 

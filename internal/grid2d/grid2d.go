@@ -12,7 +12,7 @@ import (
 // distinct from core.ErrInvalidSystem (services map it to 422, not 400).
 var ErrNonFinite = errors.New("grid2d: non-finite value in solution")
 
-// maxGridDim bounds each grid dimension so cell counts and extended-grid
+// maxGridDim bounds each grid dimension so cell counts and row-major
 // index arithmetic stay far from int overflow on every platform.
 const maxGridDim = 1 << 24
 
@@ -72,7 +72,7 @@ func (r Ring) semiring() core.Semiring {
 }
 
 // Term-presence bits of a System (and of the plans compiled from it). The
-// mask is structural: it is part of the plan fingerprint, and the batch
+// mask is structural: it is part of the plan fingerprint, and the row
 // kernels branch on grid nil-ness exactly as the mask describes.
 const (
 	// TermA marks the up term a[i,j] ⊗ w[i-1,j].
@@ -115,7 +115,9 @@ type System struct {
 type Result struct {
 	// Values is the solved interior grid, row-major Rows×Cols.
 	Values []float64
-	// Rounds is the number of wavefront rounds executed (Rows+Cols-1).
+	// Rounds is the grid's dependence depth, Rows+Cols-1: the number of
+	// cell anti-diagonals (the tiled schedule covers them in fewer
+	// parallel rounds).
 	Rounds int
 	// Cells is the number of interior cells solved.
 	Cells int64
@@ -236,9 +238,10 @@ func (s *System) neighbours(out []float64, i, j int) (up, left, diag float64) {
 }
 
 // SolveSequential is the reference oracle: a plain row-major sweep through
-// interface-dispatched per-cell updates, sharing the canonical term fold
-// with the parallel kernels so both produce bit-identical values. It exists
-// to check the wavefront engine, not to be fast.
+// interface-dispatched per-cell updates (core.GridCell, the fold the
+// generic kernel shares and the concrete row kernels repeat), so every path
+// produces bit-identical values. It exists to check the wavefront engine,
+// not to be fast.
 func SolveSequential(s *System) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -262,8 +265,8 @@ func SolveSequential(s *System) (*Result, error) {
 }
 
 // checkFinite scans a row-major solution and reports the first non-finite
-// cell in row-major order — the order both the oracle and the arena's
-// recovery scan use, so every path names the same cell.
+// cell in row-major order. The oracle runs it on every solve and the tiled
+// engine when a kernel's probe fired, so every path names the same cell.
 func checkFinite(out []float64, cols int) error {
 	for k, v := range out {
 		if !isFinite(v) {

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,6 +16,42 @@ import (
 	"indexedrec/internal/core"
 	"indexedrec/internal/parallel"
 )
+
+// defaultRoundTilesPerWorker is the production split threshold. TestMain
+// lowers the live one to a tile per worker, so every test's small grids —
+// a few tiles per side — run split rounds on the gang as well as the
+// caller-only walk of procs 1.
+var defaultRoundTilesPerWorker = roundTilesPerWorker
+
+func TestMain(m *testing.M) {
+	roundTilesPerWorker = 1
+	os.Exit(m.Run())
+}
+
+// TestRoundWorkers pins the split policy at the production threshold: a
+// round goes to one worker per four tiles, within procs, so a round under
+// eight tiles — every round of a 1024² grid — runs on the caller's
+// goroutine whatever procs allows.
+func TestRoundWorkers(t *testing.T) {
+	defer func(v int) { roundTilesPerWorker = v }(roundTilesPerWorker)
+	roundTilesPerWorker = defaultRoundTilesPerWorker
+	for _, tc := range []struct{ procs, count, want int }{
+		{2, 1, 1}, {2, 3, 1}, {8, 4, 1}, {8, 7, 1}, {1, 16, 1},
+		{2, 8, 2}, {8, 8, 2}, {8, 15, 3}, {8, 16, 4}, {2, 16, 2},
+	} {
+		if got := roundWorkers(tc.procs, tc.count); got != tc.want {
+			t.Errorf("roundWorkers(procs %d, %d tiles) = %d, want %d", tc.procs, tc.count, got, tc.want)
+		}
+	}
+	const n = 4 * TileSize // 4×4 tiles: the widest round holds four
+	p, err := Compile(context.Background(), editDistance(strings.Repeat("ab", n/2), strings.Repeat("ba", n/2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Workers(8); got != 1 {
+		t.Errorf("%dx%d plan: Workers(8) = %d, want 1 (rounds at most four tiles wide)", n, n, got)
+	}
+}
 
 // editDistance builds the Levenshtein DP as a min-plus grid: unit
 // insert/delete costs on the up/left terms, 0/1 substitution cost on the
@@ -157,16 +196,29 @@ func TestRingByName(t *testing.T) {
 	}
 }
 
-// TestPlanMatchesOracle sweeps shapes (including the 1×1, 1×n, n×1 edge
-// cases), rings and term masks, and requires the parallel plan replay and a
-// repeated warm arena replay to be bit-identical to the sequential oracle.
+// TestPlanMatchesOracle sweeps shapes — the 1×1, 1×n and n×1 edge cases,
+// and the shapes around tile edges: just inside, on and just past one
+// tile, past two tiles, and single rows and columns spanning three tiles —
+// under every ring, every term mask, procs 1, 2 and 4 and both kernel
+// paths (concrete and generic), and requires the pooled plan replay and
+// warm arena replays to be bit-identical to the sequential oracle. Short
+// and race builds keep only the all-terms mask on the tile-edge shapes.
 func TestPlanMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
-	shapes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {1, 64}, {64, 1}, {2, 2}, {3, 5}, {8, 8}, {17, 31}, {33, 9}}
-	for _, sh := range shapes {
+	prev := SetKernelsEnabled(true)
+	defer SetKernelsEnabled(prev)
+	small := [][2]int{{1, 1}, {1, 7}, {7, 1}, {1, 64}, {64, 1}, {2, 2}, {3, 5}, {8, 8}, {17, 31}, {33, 9}}
+	const b = TileSize
+	shapes := append(small, [][2]int{{b - 1, b - 1}, {b, b}, {b + 1, b + 1},
+		{2*b + 1, 2*b + 1}, {1, 2*b + 1}, {2*b + 1, 1}}...)
+	allMasks := !testing.Short() && !parallel.RaceEnabled
+	for n, sh := range shapes {
 		for _, ring := range []Ring{RingAffine, RingMaxPlus, RingMinPlus} {
 			for mask := uint8(1); mask < 16; mask++ {
+				if n >= len(small) && !allMasks && mask != TermA|TermB|TermD|TermC {
+					continue
+				}
 				s := randomSystem(rng, sh[0], sh[1], ring, mask)
 				want, err := SolveSequential(s)
 				if err != nil {
@@ -176,19 +228,25 @@ func TestPlanMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%dx%d %s mask %#x: Compile: %v", sh[0], sh[1], ring, mask, err)
 				}
-				got, err := p.SolveCtx(ctx, s, 4)
-				if err != nil {
-					t.Fatalf("%dx%d %s mask %#x: SolveCtx: %v", sh[0], sh[1], ring, mask, err)
-				}
-				assertSame(t, fmt.Sprintf("%dx%d %s mask %#x pooled", sh[0], sh[1], ring, mask), want, got)
 				ar := p.NewArena()
-				for rep := 0; rep < 2; rep++ {
-					res, err := ar.SolveCtx(ctx, s, 3)
-					if err != nil {
-						t.Fatalf("arena rep %d: %v", rep, err)
+				for _, kernels := range []bool{true, false} {
+					SetKernelsEnabled(kernels)
+					for _, procs := range []int{1, 2, 4} {
+						label := fmt.Sprintf("%dx%d %s mask %#x kernels=%v procs=%d",
+							sh[0], sh[1], ring, mask, kernels, procs)
+						got, err := p.SolveCtx(ctx, s, procs)
+						if err != nil {
+							t.Fatalf("%s: SolveCtx: %v", label, err)
+						}
+						assertSame(t, label+" pooled", want, got)
+						got, err = ar.SolveCtx(ctx, s, procs)
+						if err != nil {
+							t.Fatalf("%s: arena: %v", label, err)
+						}
+						assertSame(t, label+" arena", want, got)
 					}
-					assertSame(t, fmt.Sprintf("%dx%d %s mask %#x arena rep %d", sh[0], sh[1], ring, mask, rep), want, res)
 				}
+				SetKernelsEnabled(true)
 			}
 		}
 	}
@@ -203,13 +261,13 @@ func assertSame(t *testing.T, label string, want, got *Result) {
 		t.Fatalf("%s: len = %d, want %d", label, len(got.Values), len(want.Values))
 	}
 	for k := range want.Values {
-		if want.Values[k] != got.Values[k] {
-			t.Fatalf("%s: cell %d = %v, want %v", label, k, got.Values[k], want.Values[k])
+		if math.Float64bits(want.Values[k]) != math.Float64bits(got.Values[k]) {
+			t.Fatalf("%s: cell %d = %v, want %v (bitwise)", label, k, got.Values[k], want.Values[k])
 		}
 	}
 }
 
-// TestKernelToggle proves the monomorphized and generic-dispatch kernel
+// TestKernelToggle proves the concrete and generic-dispatch kernel
 // paths are bit-identical.
 func TestKernelToggle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -235,37 +293,107 @@ func TestKernelToggle(t *testing.T) {
 	assertSame(t, "generic dispatch", fast, slow)
 }
 
-// TestNonFinite drives an affine grid into overflow and requires the oracle
+// TestSignedZeroTies solves grids whose coefficients and boundaries are
+// all +0 or -0, so the sign of every result hangs on which operand ⊕
+// keeps on a tie and on how + and × sign their zeros: every ring and term
+// mask, both kernel paths, single- and multi-tile, bit for bit against the
+// oracle.
+func TestSignedZeroTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	zeros := func(g []float64) {
+		for k := range g {
+			g[k] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+		}
+	}
+	ctx := context.Background()
+	prev := SetKernelsEnabled(true)
+	defer SetKernelsEnabled(prev)
+	for _, sh := range [][2]int{{3, 4}, {TileSize + 1, TileSize + 1}} {
+		for _, ring := range []Ring{RingAffine, RingMaxPlus, RingMinPlus} {
+			for mask := uint8(1); mask < 16; mask++ {
+				s := randomSystem(rng, sh[0], sh[1], ring, mask)
+				for _, g := range [][]float64{s.A, s.B, s.D, s.C, s.North, s.West} {
+					zeros(g)
+				}
+				s.NW = math.Copysign(0, -1)
+				want, err := SolveSequential(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := Compile(ctx, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, kernels := range []bool{true, false} {
+					SetKernelsEnabled(kernels)
+					got, err := p.SolveCtx(ctx, s, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSame(t, fmt.Sprintf("%dx%d %s mask %#x kernels=%v", sh[0], sh[1], ring, mask, kernels), want, got)
+				}
+				SetKernelsEnabled(true)
+			}
+		}
+	}
+}
+
+// TestNonFinite drives affine grids into overflow and requires the oracle
 // and the parallel engine to fail identically: same error class, same
-// first bad cell in row-major order.
+// first bad cell in row-major order. The multi-tile case plants bad cells
+// in tile (1,0), solved in round 1, and in tile (0,2), solved in round 2
+// but first in row-major order, so a solve that stopped at the first bad
+// round would name the wrong cell.
 func TestNonFinite(t *testing.T) {
-	r, c := 6, 5
-	s := &System{Rows: r, Cols: c, Ring: RingAffine,
-		A: make([]float64, r*c), B: make([]float64, r*c),
-		North: make([]float64, c), West: make([]float64, r)}
-	for k := range s.A {
-		s.A[k], s.B[k] = 1e300, 1e300
+	overflow := func() *System {
+		r, c := 6, 5
+		s := &System{Rows: r, Cols: c, Ring: RingAffine,
+			A: make([]float64, r*c), B: make([]float64, r*c),
+			North: make([]float64, c), West: make([]float64, r)}
+		for k := range s.A {
+			s.A[k], s.B[k] = 1e300, 1e300
+		}
+		for j := range s.North {
+			s.North[j] = 1e300
+		}
+		for i := range s.West {
+			s.West[i] = 1e300
+		}
+		return s
 	}
-	for j := range s.North {
-		s.North[j] = 1e300
+	tileOrder := func() *System {
+		r, c := TileSize+1, 2*TileSize+1
+		s := &System{Rows: r, Cols: c, Ring: RingAffine, C: make([]float64, r*c),
+			North: make([]float64, c), West: make([]float64, r)}
+		s.C[2*TileSize] = inf()   // (0, 2B): tile (0,2)
+		s.C[TileSize*c+3] = nan() // (B, 3): tile (1,0)
+		return s
 	}
-	for i := range s.West {
-		s.West[i] = 1e300
-	}
-	_, oerr := SolveSequential(s)
-	if !errors.Is(oerr, ErrNonFinite) {
-		t.Fatalf("oracle error = %v, want ErrNonFinite", oerr)
-	}
-	p, err := Compile(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, perr := p.SolveCtx(context.Background(), s, 4)
-	if !errors.Is(perr, ErrNonFinite) {
-		t.Fatalf("parallel error = %v, want ErrNonFinite", perr)
-	}
-	if oerr.Error() != perr.Error() {
-		t.Fatalf("error text diverged:\n  oracle:   %v\n  parallel: %v", oerr, perr)
+	for name, tc := range map[string]struct {
+		mk   func() *System
+		cell string
+	}{
+		"overflow":   {overflow, "cell (0,0)"},
+		"tile order": {tileOrder, fmt.Sprintf("cell (0,%d)", 2*TileSize)},
+	} {
+		s := tc.mk()
+		_, oerr := SolveSequential(s)
+		if !errors.Is(oerr, ErrNonFinite) || !strings.HasSuffix(oerr.Error(), tc.cell) {
+			t.Fatalf("%s: oracle error = %v, want ErrNonFinite naming %s", name, oerr, tc.cell)
+		}
+		p, err := Compile(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			_, perr := p.SolveCtx(context.Background(), s, procs)
+			if !errors.Is(perr, ErrNonFinite) {
+				t.Fatalf("%s procs=%d: parallel error = %v, want ErrNonFinite", name, procs, perr)
+			}
+			if oerr.Error() != perr.Error() {
+				t.Fatalf("%s procs=%d: error text diverged:\n  oracle:   %v\n  parallel: %v", name, procs, oerr, perr)
+			}
+		}
 	}
 }
 
@@ -289,14 +417,18 @@ func TestArenaShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestDiagonalScheduleMatchesCAPWavefront embeds small grids as dependence
-// DAGs (edges from each cell to the cells it reads) and cross-checks cap's
-// general wavefront labeling against grid2d's compiled diagonal schedule:
-// level(i,j) must equal the anti-diagonal i+j, the number of levels must
-// equal the plan's round count, and each level's population must equal the
-// corresponding diagonal's cell count.
+// TestDiagonalScheduleMatchesCAPWavefront embeds grids as dependence DAGs
+// (edges from each cell to the cells it reads) and cross-checks cap's
+// general wavefront labeling against grid2d's compiled tile schedule:
+// level(i,j) must equal the anti-diagonal i+j and the number of levels the
+// plan's Rounds (the dependence depth), and walking the tile rounds must
+// solve every cell exactly once, after each cell it reads — in an earlier
+// tile round, or earlier in the same tile's row-major order. The shapes
+// include single tiles and grids that cross tile edges in both directions.
 func TestDiagonalScheduleMatchesCAPWavefront(t *testing.T) {
-	for _, sh := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {3, 4}, {5, 5}} {
+	const b = TileSize
+	for _, sh := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {3, 4}, {5, 5}, {b, b},
+		{b + 1, 2*b + 1}, {1, 2*b + 1}, {2*b + 1, 1}} {
 		r, c := sh[0], sh[1]
 		edges := make(map[int][]cap.Edge)
 		one := big.NewInt(1)
@@ -323,20 +455,53 @@ func TestDiagonalScheduleMatchesCAPWavefront(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%dx%d: Compile: %v", r, c, err)
 		}
-		perLevel := make([]int, p.Rounds())
 		for v, l := range levels {
 			if want := v/c + v%c; l != want {
 				t.Fatalf("%dx%d: level(%d,%d) = %d, want %d", r, c, v/c, v%c, l, want)
 			}
-			perLevel[l]++
-		}
-		for k, d := range p.diags {
-			if perLevel[k] != d.count {
-				t.Errorf("%dx%d: diagonal %d has %d cells, cap level has %d", r, c, k, d.count, perLevel[k])
-			}
 		}
 		if maxL := levels[r*c-1]; maxL+1 != p.Rounds() {
 			t.Errorf("%dx%d: cap depth %d+1 != plan rounds %d", r, c, maxL, p.Rounds())
+		}
+
+		// Walk the schedule: the tile round, tile row and row-major position
+		// inside its tile at which each cell is solved.
+		round, tile, seq := make([]int, r*c), make([]int, r*c), make([]int, r*c)
+		for v := range round {
+			round[v] = -1
+		}
+		for k := range p.tileRounds() {
+			ti0, count := p.roundTiles(k)
+			for ti := ti0; ti < ti0+count; ti++ {
+				i0, i1, j0, j1 := p.tileBounds(ti, k-ti)
+				n := 0
+				for i := i0; i < i1; i++ {
+					for j := j0; j < j1; j++ {
+						v := i*c + j
+						if round[v] >= 0 {
+							t.Fatalf("%dx%d: cell (%d,%d) solved in rounds %d and %d", r, c, i, j, round[v], k)
+						}
+						round[v], tile[v], seq[v] = k, ti, n
+						n++
+					}
+				}
+			}
+		}
+		for v := range round {
+			if round[v] < 0 {
+				t.Fatalf("%dx%d: cell (%d,%d) never solved", r, c, v/c, v%c)
+			}
+			for _, e := range edges[v] {
+				u := e.To
+				sameTile := round[u] == round[v] && tile[u] == tile[v]
+				if round[u] > round[v] || (round[u] == round[v] && (!sameTile || seq[u] > seq[v])) {
+					t.Fatalf("%dx%d: cell (%d,%d) (round %d) reads (%d,%d) (round %d) before it is solved",
+						r, c, v/c, v%c, round[v], u/c, u%c, round[u])
+				}
+			}
+		}
+		if r <= b && c <= b && p.tileRounds() != 1 {
+			t.Errorf("%dx%d: %d tile rounds, want one row-major tile", r, c, p.tileRounds())
 		}
 	}
 }

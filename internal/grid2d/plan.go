@@ -3,34 +3,44 @@ package grid2d
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"indexedrec/internal/core"
 )
 
-// diagSpan fixes one wavefront round at compile time: where the diagonal's
-// first cell sits in the extended grid and the coefficient grids, and how
-// many cells it holds. Cell t of the round lives at ext0 + t·(stride-1) /
-// cof0 + t·(stride-2), walking the diagonal with i increasing.
-type diagSpan struct {
-	ext0  int
-	cof0  int
-	count int
-}
+// TileSize is the side B of the square tiles the wavefront walks: B×B
+// blocks of cells, solved row-major inside a tile, one parallel round per
+// tile anti-diagonal. Tiles on the grid's bottom and right edges are
+// clamped, so a grid no larger than B×B is one row-major tile. B is a
+// compile-time constant — never a flag or a machine property — so it never
+// enters plans or fingerprints. At 256 a tile row is 2 KB of working grid:
+// the row above it stays in L1 while a tile runs.
+const TileSize = 256
 
-// Plan is the compiled wavefront schedule of one grid shape: the diagonal
-// spans in dependency order, sized from structure alone (dimensions, ring,
-// term mask — never machine properties), plus an arena pool for pooled
-// replays. A Plan is immutable after Compile and safe for concurrent
-// SolveCtx calls from any number of goroutines.
+// roundTilesPerWorker is the fewest tiles of one round a worker is handed.
+// A split round lasts as long as its slowest worker, and a worker is only
+// as fast as the core it gets: with a tile or two each, a second worker's
+// gain on an idle machine becomes a stall on a busy one. On a shared 2-vCPU
+// VM a 1024² grid (4×4 tiles, rounds at most four wide) replayed in 7 ms
+// or 11 ms by turns as neighbour load came and went when its rounds were
+// split, and in a steady 10–13 ms on the caller's goroutine. So narrow
+// grids, and the fill and drain rounds of wide ones, run on the caller; a
+// variable only so this package's tests can split small grids.
+var roundTilesPerWorker = 4
+
+// Plan is the compiled tiled-wavefront schedule of one grid shape, sized
+// from structure alone (dimensions, ring, term mask — never machine
+// properties), plus an arena pool for pooled replays. A Plan is immutable
+// after Compile and safe for concurrent SolveCtx calls from any number of
+// goroutines.
 type Plan struct {
 	rows, cols int
 	ring       Ring
 	mask       uint8
-	stride     int // extended-grid row stride = cols+1
-	diags      []diagSpan
-	maxDiag    int // widest round, sizes gang requests
-	size       int64
+	tileRows   int // tiles down the grid, ⌈rows/TileSize⌉
+	tileCols   int // tiles across the grid, ⌈cols/TileSize⌉
+	maxTiles   int // widest tile round, sizes gang requests
 
 	arenas sync.Pool
 }
@@ -47,43 +57,50 @@ func Compile(ctx context.Context, s *System) (*Plan, error) {
 		return nil, err
 	}
 	r, c := s.Rows, s.Cols
-	stride := c + 1
-	diags := make([]diagSpan, r+c-1)
-	maxDiag := 0
-	for k := range diags {
-		iLo := 0
-		if k > c-1 {
-			iLo = k - (c - 1)
-		}
-		iHi := k
-		if iHi > r-1 {
-			iHi = r - 1
-		}
-		j0 := k - iLo
-		diags[k] = diagSpan{
-			ext0:  (iLo+1)*stride + (j0 + 1),
-			cof0:  iLo*c + j0,
-			count: iHi - iLo + 1,
-		}
-		if diags[k].count > maxDiag {
-			maxDiag = diags[k].count
-		}
-	}
+	tr, tc := (r+TileSize-1)/TileSize, (c+TileSize-1)/TileSize
 	p := &Plan{
-		rows:    r,
-		cols:    c,
-		ring:    s.Ring,
-		mask:    s.TermMask(),
-		stride:  stride,
-		diags:   diags,
-		maxDiag: maxDiag,
+		rows:     r,
+		cols:     c,
+		ring:     s.Ring,
+		mask:     s.TermMask(),
+		tileRows: tr,
+		tileCols: tc,
+		maxTiles: min(tr, tc),
 	}
-	// Cache accounting charges the schedule plus one pooled arena (its
-	// extended grid dominates); 24 = sizeof(diagSpan).
-	p.size = int64(len(diags))*24 + int64(r+1)*int64(stride)*8 + int64(r)*int64(c)*8
 	p.arenas.New = func() any { return p.NewArena() }
 	return p, nil
 }
+
+// tileRounds is the number of tile anti-diagonals, one parallel round each.
+func (p *Plan) tileRounds() int { return p.tileRows + p.tileCols - 1 }
+
+// roundTiles returns tile round k's tiles: (ti0+t, k-ti0-t) for t in
+// [0, count), walking the tile anti-diagonal with the tile row increasing.
+func (p *Plan) roundTiles(k int) (ti0, count int) {
+	ti0 = max(0, k-(p.tileCols-1))
+	return ti0, min(k, p.tileRows-1) - ti0 + 1
+}
+
+// tileBounds returns the interior cells [i0, i1) × [j0, j1) of tile (ti, tj).
+func (p *Plan) tileBounds(ti, tj int) (i0, i1, j0, j1 int) {
+	i0, j0 = ti*TileSize, tj*TileSize
+	return i0, min(i0+TileSize, p.rows), j0, min(j0+TileSize, p.cols)
+}
+
+// roundWorkers returns how many workers a round of count tiles is split
+// over under the procs bound (<= 0 means GOMAXPROCS): one per
+// roundTilesPerWorker tiles, and at least the caller.
+func roundWorkers(procs, count int) int {
+	if procs <= 0 {
+		procs = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(procs, count/roundTilesPerWorker))
+}
+
+// Workers returns the most workers one round of p is split over under the
+// procs bound (<= 0 means GOMAXPROCS) — 1 when every round runs on the
+// caller's goroutine.
+func (p *Plan) Workers(procs int) int { return roundWorkers(procs, p.maxTiles) }
 
 // Rows returns the plan's interior row count.
 func (p *Plan) Rows() int { return p.rows }
@@ -98,15 +115,27 @@ func (p *Plan) Ring() Ring { return p.ring }
 // for.
 func (p *Plan) TermMask() uint8 { return p.mask }
 
-// Rounds returns the number of wavefront rounds (Rows+Cols-1).
-func (p *Plan) Rounds() int { return len(p.diags) }
+// Rounds returns the dependence depth of the grid, Rows+Cols-1: the number
+// of cell anti-diagonals, the length of the longest chain of cells each
+// reading the last. The tiled schedule runs Rows+Cols-1 cell diagonals in
+// ⌈Rows/B⌉+⌈Cols/B⌉-1 parallel rounds.
+func (p *Plan) Rounds() int { return p.rows + p.cols - 1 }
 
-// SizeBytes estimates the plan's memory footprint (schedule plus one pooled
+// planBytes is a grid plan's memory footprint whatever its shape: the
+// schedule is a handful of integers, and a pooled arena holds only its
+// bindings because cells are solved in place in the caller's result.
+const planBytes = 512
+
+// SizeBytes estimates the plan's memory footprint (the plan and one pooled
 // arena) for cache accounting.
-func (p *Plan) SizeBytes() int64 { return p.size }
+func (p *Plan) SizeBytes() int64 { return planBytes }
 
-// matches checks that s has exactly the structure p was compiled for.
-func (p *Plan) matches(s *System) error {
+// check validates s and checks it has exactly the structure p was compiled
+// for.
+func (p *Plan) check(s *System) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
 	if s.Rows != p.rows || s.Cols != p.cols || s.Ring != p.ring || s.TermMask() != p.mask {
 		return fmt.Errorf("%w: system (%dx%d ring %s mask %#x) does not match plan (%dx%d ring %s mask %#x)",
 			core.ErrInvalidSystem, s.Rows, s.Cols, s.Ring, s.TermMask(),
@@ -115,20 +144,20 @@ func (p *Plan) matches(s *System) error {
 	return nil
 }
 
-// SolveCtx replays the compiled schedule for s through a pooled arena and
-// returns a caller-owned result. Safe for concurrent use; each call checks
-// out its own arena, so warm concurrent replays share nothing but the
-// immutable schedule.
+// SolveCtx replays the compiled schedule for s through a pooled arena,
+// solving the cells in place in a fresh caller-owned result. Safe for
+// concurrent use; each call checks out its own arena, so warm concurrent
+// replays share nothing but the immutable schedule.
 func (p *Plan) SolveCtx(ctx context.Context, s *System, procs int) (*Result, error) {
-	ar := p.arenas.Get().(*Arena)
-	res, err := ar.SolveCtx(ctx, s, procs)
-	if err != nil {
-		p.arenas.Put(ar)
+	if err := p.check(s); err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(res.Values))
-	copy(out, res.Values)
-	r := &Result{Values: out, Rounds: res.Rounds, Cells: res.Cells}
+	out := make([]float64, p.rows*p.cols)
+	ar := p.arenas.Get().(*Arena)
+	err := ar.run(ctx, s, procs, out)
 	p.arenas.Put(ar)
-	return r, nil
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Values: out, Rounds: p.Rounds(), Cells: int64(p.rows) * int64(p.cols)}, nil
 }

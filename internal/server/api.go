@@ -100,7 +100,7 @@ type MoebiusResponse struct {
 }
 
 // Grid2DRequest is the body of POST /v1/solve/grid2d — a 2-D recurrence
-// grid solved by anti-diagonal wavefronts over the system's semiring.
+// grid solved by tiled anti-diagonal wavefronts over the system's semiring.
 type Grid2DRequest struct {
 	System ir.Grid2DSystem `json:"system"`
 	Opts   ir.OptionsWire  `json:"opts,omitempty"`

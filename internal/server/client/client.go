@@ -186,7 +186,7 @@ func (c *Client) SolveMoebius(ctx context.Context, req server.MoebiusRequest) (*
 }
 
 // SolveGrid2D solves a 2-D recurrence grid (edit distance, Smith–Waterman,
-// linear grids) by server-side anti-diagonal wavefronts.
+// linear grids) by server-side tiled anti-diagonal wavefronts.
 func (c *Client) SolveGrid2D(ctx context.Context, req server.Grid2DRequest) (*server.Grid2DResponse, error) {
 	var out server.Grid2DResponse
 	if err := c.do(ctx, server.APIPrefix+"grid2d", req, &out); err != nil {

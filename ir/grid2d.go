@@ -12,8 +12,8 @@ import (
 
 // The 2-D recurrence-grid family (Natale, "On the Computation of 2-D
 // Recurrence Equations"): w[i,j] = (a ⊗ w[i-1,j]) ⊕ (b ⊗ w[i,j-1]) ⊕
-// (d ⊗ w[i-1,j-1]) ⊕ c over a selectable semiring, solved by anti-diagonal
-// wavefronts of batched cell updates. See internal/grid2d for the engine;
+// (d ⊗ w[i-1,j-1]) ⊕ c over a selectable semiring, solved by tiled
+// anti-diagonal wavefronts. See internal/grid2d for the engine;
 // this file is the public facade and wire shape.
 
 // ErrGrid2DNonFinite reports a grid solve whose output overflowed to NaN or
@@ -50,7 +50,8 @@ type Grid2DSystem struct {
 type Grid2DResult struct {
 	// Values is the solved interior grid, row-major Rows×Cols.
 	Values []float64
-	// Rounds is the number of wavefront rounds (Rows+Cols-1).
+	// Rounds is the grid's dependence depth, Rows+Cols-1: the number of
+	// cell anti-diagonals.
 	Rounds int
 	// Cells is the number of interior cells solved.
 	Cells int64
@@ -115,8 +116,8 @@ func CompileGrid2D(s *Grid2DSystem) (*Plan, error) {
 	return CompileGrid2DCtx(context.Background(), s)
 }
 
-// CompileGrid2DCtx compiles a grid system into a Plan: the anti-diagonal
-// spans, slab offsets and round order, fixed from structure alone so plans
+// CompileGrid2DCtx compiles a grid system into a Plan: the tile grid and
+// its anti-diagonal round order, fixed from structure alone so plans
 // sharing a Grid2DFingerprint are interchangeable. Replay with
 // SolveGrid2DPlanCtx (or Plan.SolveCtx with PlanData.Grid) against any
 // system of the same structure.
@@ -163,11 +164,12 @@ func SolveGrid2D(s *Grid2DSystem, opt SolveOptions) (*Grid2DResult, error) {
 	return SolveGrid2DCtx(context.Background(), s, opt)
 }
 
-// SolveGrid2DCtx solves a 2-D recurrence grid by anti-diagonal wavefronts:
-// each diagonal is one parallel batch of semiring cell updates, Rows+Cols-1
-// rounds in all. Results are bit-identical to the row-major sequential
-// oracle regardless of procs. A NaN or ±Inf in the solution fails with
-// ErrGrid2DNonFinite; malformed systems fail with ErrInvalidSystem.
+// SolveGrid2DCtx solves a 2-D recurrence grid by tiled anti-diagonal
+// wavefronts: each anti-diagonal of tiles is one parallel round, and the
+// result reports the grid's dependence depth, Rows+Cols-1, as Rounds.
+// Results are bit-identical to the row-major sequential oracle regardless
+// of procs. A NaN or ±Inf in the solution fails with ErrGrid2DNonFinite;
+// malformed systems fail with ErrInvalidSystem.
 func SolveGrid2DCtx(ctx context.Context, s *Grid2DSystem, opt SolveOptions) (*Grid2DResult, error) {
 	p, err := CompileGrid2DCtx(ctx, s)
 	if err != nil {

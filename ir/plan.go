@@ -45,7 +45,7 @@ const (
 	// shapes).
 	FamilyMoebius
 	// FamilyGrid2D is the 2-D recurrence-grid family (SolveGrid2DCtx):
-	// anti-diagonal wavefronts of batched semiring cell updates.
+	// tiled anti-diagonal wavefronts of semiring row updates.
 	FamilyGrid2D
 )
 
